@@ -13,7 +13,8 @@
 //             compute series is recorded for trajectory but is
 //             hardware-bound and not gated.
 //   service   mixed multi-tenant traffic through service::Engine under
-//             both disciplines; the headline is the p99 ratio.
+//             both disciplines; the headline is the ratio of the
+//             per-mode best-of-rounds p99.
 //
 // Both modes run in one process on the global pool via set_mode (the
 // workers service both disciplines; only publication changes), so the
@@ -275,10 +276,27 @@ int main() {
         return vb::summarize(std::move(all));
     };
 
-    // Warm both paths once (plans resident, pool pages touched).
+    // Warm both paths once (plans resident, pool pages touched). Then
+    // best-of-rounds per mode, as the other scenarios do: the modes
+    // alternate so a transient host stall lands in one round of one
+    // mode and is discarded, while a systematic tail penalty of either
+    // discipline shows in every round and survives the minimum.
     (void)traffic_percentiles(vb::SchedMode::stealing);
-    const auto sharing = traffic_percentiles(vb::SchedMode::sharing);
-    const auto stealing = traffic_percentiles(vb::SchedMode::stealing);
+    const int traffic_rounds = quick ? 5 : 9;
+    report.config("traffic_rounds",
+                  static_cast<vb::size_type>(traffic_rounds));
+    vb::Summary sharing;
+    vb::Summary stealing;
+    for (int round = 0; round < traffic_rounds; ++round) {
+        const auto s = traffic_percentiles(vb::SchedMode::sharing);
+        const auto w = traffic_percentiles(vb::SchedMode::stealing);
+        if (round == 0 || s.p99 < sharing.p99) {
+            sharing = s;
+        }
+        if (round == 0 || w.p99 < stealing.p99) {
+            stealing = w;
+        }
+    }
     std::printf("%10s %12.6f %12.6f %12.6f\n", "sharing", sharing.p50,
                 sharing.p95, sharing.p99);
     std::printf("%10s %12.6f %12.6f %12.6f\n", "stealing", stealing.p50,

@@ -59,10 +59,10 @@ struct BackendTimes {
 
 BackendTimes run_backend(const vb::sparse::Csr<double>& a,
                          const vb::sparse::Csr<double>& b,
-                         vb::precond::BlockJacobiBackend backend,
-                         vb::index_type block_bound, int reps) {
+                         vb::core::SimdIsa isa, vb::index_type block_bound,
+                         int reps) {
     vb::precond::BlockJacobiOptions opts;
-    opts.backend = backend;
+    opts.simd = isa;
     opts.max_block_size = block_bound;
     const double t_setup = time_best(
         reps, [&] { vb::precond::BlockJacobi<double> prec(a, opts); });
@@ -138,11 +138,10 @@ int main() {
             (void)vb::core::getrf_batch(blocks, pivots, gopts);
         });
 
-        const auto lu = run_backend(
-            a, b, vb::precond::BlockJacobiBackend::lu, block_bound, reps);
-        const auto simd = run_backend(
-            a, b, vb::precond::BlockJacobiBackend::lu_simd, block_bound,
-            reps);
+        const auto lu = run_backend(a, b, vb::core::SimdIsa::scalar,
+                                    block_bound, reps);
+        const auto simd = run_backend(a, b, vb::core::detect_simd_isa(),
+                                      block_bound, reps);
         bitwise = bitwise && lu.bitwise && simd.bitwise;
 
         const double fused_speedup = t_phased / lu.setup;

@@ -100,7 +100,7 @@ int main() {
     // Preconditioners: scalar serial apply (reference) vs interleaved SIMD
     // groups dispatched over the pool (optimized). Identical factors.
     vb::precond::BlockJacobiOptions ref_opts;
-    ref_opts.backend = vb::precond::BlockJacobiBackend::lu;
+    ref_opts.simd = vb::core::SimdIsa::scalar;
     ref_opts.max_block_size = 16;
     ref_opts.parallel = false;
     const vb::precond::BlockJacobi<double> prec_ref(a, ref_opts);

@@ -43,6 +43,11 @@ bool simd_isa_available(SimdIsa isa);
 /// The result is computed once and cached.
 SimdIsa detect_simd_isa();
 
+/// The ISA a request for `requested` executes at: the request itself when
+/// this build and machine support it, else detect_simd_isa(). The one
+/// place a requested ISA is clamped to what is available.
+SimdIsa resolve_simd_isa(SimdIsa requested);
+
 /// Every available ISA, narrowest first (always contains scalar).
 std::vector<SimdIsa> available_simd_isas();
 
@@ -59,5 +64,11 @@ constexpr index_type simd_lanes(SimdIsa isa) {
     }
     return 1;
 }
+
+/// An executed ISA together with its lane count for one value type.
+struct LaneWidth {
+    SimdIsa isa = SimdIsa::scalar;
+    index_type lanes = 1;
+};
 
 }  // namespace vbatch::core

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <numeric>
 
 #include "base/thread_pool.hpp"
 #include "blas/lapack.hpp"
@@ -33,11 +34,37 @@ void atomic_add(std::atomic<double>& acc, double v) {
 /// split the gather/factorize attribution honestly.
 constexpr size_type scalar_stats_batch = 8;
 
+/// True when the group chunks and per-block ranges of `sym` cover every
+/// block exactly once (no block has two writers, none is skipped).
+[[maybe_unused]] bool single_owner(const BlockJacobiSymbolic& sym) {
+    std::vector<int> owners(static_cast<std::size_t>(sym.layout->count()),
+                            0);
+    for (const auto& task : sym.tasks) {
+        if (task.group != BlockJacobiSymbolic::no_group) {
+            const auto& indices =
+                sym.groups[static_cast<std::size_t>(task.group)].indices;
+            const size_type lo = task.chunk * sym.lanes;
+            const size_type hi = std::min(
+                lo + sym.lanes, static_cast<size_type>(indices.size()));
+            for (size_type l = lo; l < hi; ++l) {
+                ++owners[static_cast<std::size_t>(
+                    indices[static_cast<std::size_t>(l)])];
+            }
+        } else {
+            for (size_type i = task.lo; i < task.hi; ++i) {
+                ++owners[static_cast<std::size_t>(
+                    sym.scalar_blocks[static_cast<std::size_t>(i)])];
+            }
+        }
+    }
+    return std::all_of(owners.begin(), owners.end(),
+                       [](int n) { return n == 1; });
+}
+
 }  // namespace
 
 std::string backend_name(BlockJacobiBackend backend) {
     switch (backend) {
-    case BlockJacobiBackend::lu: return "lu";
     case BlockJacobiBackend::lu_simd: return "lu-simd";
     case BlockJacobiBackend::gauss_huard: return "gh";
     case BlockJacobiBackend::gauss_huard_t: return "gh-t";
@@ -64,8 +91,7 @@ std::size_t BlockJacobiSymbolic::byte_size() const noexcept {
                  sizeof(Group);
     }
     bytes += scalar_blocks.capacity() * sizeof(size_type) +
-             tasks.capacity() * sizeof(Task) +
-             apply_chunks.capacity() * sizeof(Chunk);
+             tasks.capacity() * sizeof(Task);
     return bytes;
 }
 
@@ -86,15 +112,15 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     }
     ScopedTimer phase(sym->plan_seconds);
     sym->plan = blocking::GatherPlan(a, sym->layout);
-    if (options.backend == BlockJacobiBackend::lu_simd) {
-        // Clamp once so the kept groups, metrics and name() agree on the
-        // ISA actually executed.
-        auto isa = options.simd;
-        if (!core::simd_isa_available(isa)) {
-            isa = core::detect_simd_isa();
-        }
-        sym->isa = isa;
-        sym->lanes = core::simd_lanes<T>(isa);
+    const auto width = lane_width<T>(options);
+    sym->isa = width.isa;
+    sym->lanes = width.lanes;
+    if (sym->lanes == 1) {
+        sym->scalar_blocks.resize(
+            static_cast<std::size_t>(sym->layout->count()));
+        std::iota(sym->scalar_blocks.begin(), sym->scalar_blocks.end(),
+                  size_type{0});
+    } else {
         const auto plan =
             blocking::build_size_class_plan(*sym->layout, sym->lanes);
         sym->groups.reserve(plan.vector_groups.size());
@@ -112,23 +138,20 @@ BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
             const auto gi = static_cast<size_type>(sym->groups.size());
             for (size_type c = 0; c < g.chunks; ++c) {
                 sym->tasks.push_back({gi, c, 0, 0});
-                sym->apply_chunks.push_back({gi, c});
             }
             sym->groups.push_back(std::move(g));
         }
-        sym->simd_block_count = plan.vector_block_count();
         sym->scalar_blocks = plan.scalar_indices;
     }
-    // Scalar-path blocks (all blocks for the non-lane backends) run in
-    // ranges of batch_entry_grain -- task units of a weight comparable
-    // to one SIMD chunk, matching the grain the batch drivers used.
-    const auto nscalar =
-        sym->lanes > 1 ? static_cast<size_type>(sym->scalar_blocks.size())
-                       : sym->layout->count();
+    // Per-block blocks run in ranges of batch_entry_grain -- task units
+    // of a weight comparable to one SIMD chunk, matching the grain the
+    // batch drivers used.
+    const auto nscalar = static_cast<size_type>(sym->scalar_blocks.size());
     for (size_type lo = 0; lo < nscalar; lo += batch_entry_grain) {
         sym->tasks.push_back({BlockJacobiSymbolic::no_group, 0, lo,
                               std::min(lo + batch_entry_grain, nscalar)});
     }
+    VBATCH_ASSERT(single_owner(*sym));
     // Every symbolic construction is one plan build, whether it happens
     // inline in a BlockJacobi setup or ahead of time for sharing (the
     // service plan cache); adopters count plan_reuses instead.
@@ -144,20 +167,10 @@ void BlockJacobi<T>::validate_symbolic(const sparse::Csr<T>& a) const {
     VBATCH_ENSURE(sym_->max_block_size == options_.max_block_size,
                   "block-Jacobi setup: shared symbolic was built under a "
                   "different block bound");
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        auto isa = options_.simd;
-        if (!core::simd_isa_available(isa)) {
-            isa = core::detect_simd_isa();
-        }
-        VBATCH_ENSURE(sym_->lanes == core::simd_lanes<T>(isa) &&
-                          sym_->isa == isa,
-                      "block-Jacobi setup: shared symbolic was built for a "
-                      "different ISA or lane width");
-    } else {
-        VBATCH_ENSURE(sym_->lanes == 1,
-                      "block-Jacobi setup: scalar-path backend handed a "
-                      "lane-interleaved symbolic");
-    }
+    const auto width = lane_width<T>(options_);
+    VBATCH_ENSURE(sym_->lanes == width.lanes && sym_->isa == width.isa,
+                  "block-Jacobi setup: shared symbolic was built for a "
+                  "different ISA or lane width");
 }
 
 template <typename T>
@@ -168,8 +181,7 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
     obs::PerfRegion perf("block_jacobi::setup");
     Timer timer;
     if (options_.pivot == PivotScheme::rbt) {
-        VBATCH_ENSURE(options_.backend == BlockJacobiBackend::lu ||
-                          options_.backend == BlockJacobiBackend::lu_simd,
+        VBATCH_ENSURE(options_.backend == BlockJacobiBackend::lu_simd,
                       "block-Jacobi setup: pivot=rbt requires the lu or "
                       "lu-simd backend");
         VBATCH_ENSURE(
@@ -193,9 +205,7 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
         setup_phases_.plan_seconds = sym_->plan_seconds;
     }
     layout_ = sym_->layout;
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        options_.simd = sym_->isa;  // clamped by the builder
-    }
+    options_.simd = sym_->isa;  // the ISA actually executed
     factors_ = core::BatchedMatrices<T>(layout_);
     pivots_ = core::BatchedPivots(layout_);
     const bool monitor =
@@ -219,12 +229,11 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
                                    sg.group.lane_stride(),
                                    sg.ucoef.data(), sg.vcoef.data());
         }
+        sg.rhs = core::InterleavedVectors<T>(
+            g.size, static_cast<size_type>(g.indices.size()), sym_->isa);
         simd_groups_.push_back(std::move(sg));
     }
     run_numeric(a);
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        build_apply_workspaces();
-    }
     for (size_type b = 0; b < layout_->count(); ++b) {
         const auto m = static_cast<double>(layout_->size(b));
         apply_bytes_ += (m * m + 2.0 * m) * sizeof(T);
@@ -242,14 +251,12 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
     }
     setup_seconds_ = timer.seconds();
     auto& registry = obs::Registry::global();
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        registry.add("block_jacobi.simd_blocks",
-                     static_cast<double>(sym_->simd_block_count));
-        registry.add("block_jacobi.simd_scalar_blocks",
-                     static_cast<double>(sym_->scalar_blocks.size()));
-        registry.add("block_jacobi.simd_groups",
-                     static_cast<double>(simd_groups_.size()));
-    }
+    registry.add("block_jacobi.simd_blocks",
+                 static_cast<double>(num_simd_blocks()));
+    registry.add("block_jacobi.simd_scalar_blocks",
+                 static_cast<double>(sym_->scalar_blocks.size()));
+    registry.add("block_jacobi.simd_groups",
+                 static_cast<double>(simd_groups_.size()));
     registry.add("block_jacobi.setups", 1.0);
     // A zero delta still creates the counter, keeping the bench-JSON
     // key contract stable whether or not this setup built the plan (the
@@ -449,13 +456,13 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
                 std::min(lo + scalar_stats_batch, task.hi);
             Timer tg;
             for (size_type i = lo; i < hi; ++i) {
-                const auto b = scalar_block(i);
+                const auto b = sym_->scalar_blocks[static_cast<std::size_t>(i)];
                 sym_->plan.gather_block(values, b, factors_.view(b));
             }
             gsec += tg.seconds();
             Timer tf;
             for (size_type i = lo; i < hi; ++i) {
-                const auto b = scalar_block(i);
+                const auto b = sym_->scalar_blocks[static_cast<std::size_t>(i)];
                 core::FactorInfo* info =
                     monitor
                         ? &status.block_info[static_cast<std::size_t>(b)]
@@ -511,7 +518,6 @@ template <typename T>
 index_type BlockJacobi<T>::factorize_block(size_type b,
                                            core::FactorInfo* info) {
     switch (options_.backend) {
-    case BlockJacobiBackend::lu:
     case BlockJacobiBackend::lu_simd:
         // The scalar implicit-pivoting kernel rounds identically to the
         // interleaved lanes, so a boosted block can stay on the SIMD
@@ -758,26 +764,24 @@ void BlockJacobi<T>::recover(std::span<const T> values,
         recovery_.record(s);
     }
 
-    // lu_simd: every bad block was restored/refactorized through the
-    // scalar kernel, but the interleaved groups still hold the pre-boost
-    // lanes; repack the groups that contain one. Boosted blocks stay on
-    // the SIMD apply path (scalar and lane kernels round identically).
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        std::vector<char> dirty(static_cast<std::size_t>(nb), 0);
-        for (const auto b : bad) {
-            dirty[static_cast<std::size_t>(b)] = 1;
-        }
-        for (std::size_t g = 0; g < simd_groups_.size(); ++g) {
-            auto& sg = simd_groups_[g];
-            const auto& indices = sym_->groups[g].indices;
-            const bool needs_repack = std::any_of(
-                indices.begin(), indices.end(), [&](size_type idx) {
-                    return dirty[static_cast<std::size_t>(idx)] != 0;
-                });
-            if (needs_repack) {
-                sg.group.pack_matrices(factors_, indices);
-                sg.group.pack_pivots(pivots_, indices);
-            }
+    // Every bad block was restored/refactorized through the scalar
+    // kernel, but the interleaved groups still hold the pre-boost lanes;
+    // repack the groups that contain one. Boosted blocks stay on the SIMD
+    // apply path (scalar and lane kernels round identically).
+    std::vector<char> dirty(static_cast<std::size_t>(nb), 0);
+    for (const auto b : bad) {
+        dirty[static_cast<std::size_t>(b)] = 1;
+    }
+    for (std::size_t g = 0; g < simd_groups_.size(); ++g) {
+        auto& sg = simd_groups_[g];
+        const auto& indices = sym_->groups[g].indices;
+        const bool needs_repack = std::any_of(
+            indices.begin(), indices.end(), [&](size_type idx) {
+                return dirty[static_cast<std::size_t>(idx)] != 0;
+            });
+        if (needs_repack) {
+            sg.group.pack_matrices(factors_, indices);
+            sg.group.pack_pivots(pivots_, indices);
         }
     }
 }
@@ -793,121 +797,53 @@ void BlockJacobi<T>::apply_fallback_block(size_type b, std::span<const T> r,
 }
 
 template <typename T>
-void BlockJacobi<T>::build_apply_workspaces() {
-    // The chunk task list and row-offset maps are symbolic (shared);
-    // only the per-object rhs staging workspaces are allocated here.
-    for (auto& sg : simd_groups_) {
-        sg.rhs = core::InterleavedVectors<T>(sg.group.size(),
-                                             sg.group.count(),
-                                             sg.group.isa());
+void BlockJacobi<T>::solve_block(size_type b, std::span<const T> r,
+                                 std::span<T> z) const {
+    const auto off = static_cast<std::size_t>(layout_->row_offset(b));
+    const auto m = static_cast<std::size_t>(layout_->size(b));
+    const std::span<T> zb = z.subspan(off, m);
+    for (std::size_t i = 0; i < m; ++i) {
+        zb[i] = r[off + i];
     }
-}
-
-template <typename T>
-void BlockJacobi<T>::apply_simd(std::span<const T> r, std::span<T> z) const {
-    // All groups' chunks plus the scalar leftovers form one flat task
-    // list driven by a single parallel_for; each chunk task fuses
-    // gather -> lane solve -> scatter on its slice of the persistent
-    // workspace, with the row offsets resolved at setup (no per-element
-    // div/mod, no per-apply InterleavedVectors, no zero-fill of padding
-    // lanes -- the matrix padding is identity, so stale padding values
-    // pass through the solve and stay finite without ever being read).
-    const auto nchunks = static_cast<size_type>(sym_->apply_chunks.size());
-    const auto total =
-        nchunks + static_cast<size_type>(sym_->scalar_blocks.size());
-    const auto body = [&](size_type t) {
-        if (t < nchunks) {
-            const auto& task =
-                sym_->apply_chunks[static_cast<std::size_t>(t)];
-            const auto& sg =
-                simd_groups_[static_cast<std::size_t>(task.group)];
-            const auto& row_offsets =
-                sym_->groups[static_cast<std::size_t>(task.group)]
-                    .row_offsets;
-            const auto m = static_cast<size_type>(sg.group.size());
-            const auto lanes = static_cast<size_type>(sg.group.lanes());
-            const size_type lane_lo = task.chunk * lanes;
-            const size_type lane_hi =
-                std::min(lane_lo + lanes, sg.group.count());
-            T* chunk_vals = sg.rhs.values() + task.chunk * m * lanes;
-            for (size_type l = lane_lo; l < lane_hi; ++l) {
-                const T* src =
-                    r.data() + row_offsets[static_cast<std::size_t>(l)];
-                T* dst = chunk_vals + (l - lane_lo);
-                for (size_type i = 0; i < m; ++i) {
-                    dst[i * lanes] = src[i];
-                }
-            }
-            if (rbt_enabled()) {
-                // y = V solve(LU, U^T b): vector transforms bracket the
-                // pivot-free lane solve. Lanes holding blocks that left
-                // the fast path produce finite garbage here and are
-                // re-solved by the pivoted fix-up pass below.
-                core::rbt_forward_interleaved_chunk(
-                    sg.group, sg.rhs, sg.ucoef.data(), rbt_.depth(),
-                    task.chunk);
-                core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk,
-                                              core::PivotPolicy::none);
-                core::rbt_backward_interleaved_chunk(
-                    sg.group, sg.rhs, sg.vcoef.data(), rbt_.depth(),
-                    task.chunk);
-            } else {
-                core::getrs_interleaved_chunk(sg.group, sg.rhs,
-                                              task.chunk);
-            }
-            for (size_type l = lane_lo; l < lane_hi; ++l) {
-                T* dst =
-                    z.data() + row_offsets[static_cast<std::size_t>(l)];
-                const T* src = chunk_vals + (l - lane_lo);
-                for (size_type i = 0; i < m; ++i) {
-                    dst[i] = src[i * lanes];
-                }
-            }
-            return;
-        }
-        const auto b = sym_->scalar_blocks[static_cast<std::size_t>(
-            t - nchunks)];
-        const auto off = static_cast<std::size_t>(layout_->row_offset(b));
-        const auto m = static_cast<std::size_t>(layout_->size(b));
-        const std::span<T> zb = z.subspan(off, m);
-        for (std::size_t k = 0; k < m; ++k) {
-            zb[k] = r[off + k];
-        }
+    switch (options_.backend) {
+    case BlockJacobiBackend::lu_simd:
         if (rbt_applied(b)) {
             rbt_.forward(b, zb);
             core::getrs_single_nopivot(factors_.view(b), zb,
-                                       core::TrsvVariant::eager);
+                                       options_.trsv_variant);
             rbt_.backward(b, zb);
         } else {
             core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                               core::TrsvVariant::eager);
+                               options_.trsv_variant);
         }
-    };
-    if (options_.parallel) {
-        ThreadPool::global().parallel_for(0, total, body, 1);
-    } else {
-        for (size_type t = 0; t < total; ++t) {
-            body(t);
+        break;
+    case BlockJacobiBackend::gauss_huard:
+        core::gauss_huard_solve(factors_.view(b), pivots_.span(b), zb,
+                                core::GhStorage::standard);
+        break;
+    case BlockJacobiBackend::gauss_huard_t:
+        core::gauss_huard_solve(factors_.view(b), pivots_.span(b), zb,
+                                core::GhStorage::transposed);
+        break;
+    case BlockJacobiBackend::cholesky:
+        core::potrs_single(factors_.view(b), zb, options_.trsv_variant);
+        break;
+    case BlockJacobiBackend::gje_inversion: {
+        // z_b := D_b^{-1} r_b as a small GEMV from the inverted block.
+        const auto inv = factors_.view(b);
+        std::array<T, max_block_size> y{};
+        for (index_type j = 0; j < inv.cols(); ++j) {
+            const T xj = zb[static_cast<std::size_t>(j)];
+            const T* col = inv.col(j);
+            for (index_type i = 0; i < inv.rows(); ++i) {
+                y[static_cast<std::size_t>(i)] += col[i] * xj;
+            }
         }
+        for (std::size_t i = 0; i < m; ++i) {
+            zb[i] = y[i];
+        }
+        break;
     }
-    // Blocks that left the RBT fast path but hold usable pivoted factors
-    // are re-solved through the scalar pivoted path (their group lanes
-    // ran the pivot-free solve on pivoted factors above).
-    for (const auto b : rbt_pivoted_blocks_) {
-        const auto off = static_cast<std::size_t>(layout_->row_offset(b));
-        const auto m = static_cast<std::size_t>(layout_->size(b));
-        const std::span<T> zb = z.subspan(off, m);
-        for (std::size_t k = 0; k < m; ++k) {
-            zb[k] = r[off + k];
-        }
-        core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                           core::TrsvVariant::eager);
-    }
-    // Degraded blocks route through the inverse-diagonal fallback; the
-    // fix-up pass overwrites whatever the group/leftover solve produced
-    // for them (the few degraded blocks do not justify a lane path).
-    for (const auto b : degraded_blocks_) {
-        apply_fallback_block(b, r, z);
     }
 }
 
@@ -921,7 +857,6 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
     // Name the inner region after the per-block solve the backend runs.
     const char* solve_kind = nullptr;
     switch (options_.backend) {
-    case BlockJacobiBackend::lu:
     case BlockJacobiBackend::lu_simd:
     case BlockJacobiBackend::cholesky:
         solve_kind = "trsv_apply";
@@ -937,74 +872,81 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
     obs::TraceRegion solve_trace(solve_kind);
     obs::count("block_jacobi.applies");
     obs::count("block_jacobi.apply.bytes_moved", apply_bytes_);
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        apply_simd(r, z);
-        return;
-    }
-    const auto body = [&](size_type b) {
-        if (!degraded_blocks_.empty()) {
-            const auto s = block_status_[static_cast<std::size_t>(b)];
-            if (s == core::BlockStatus::fell_back ||
-                s == core::BlockStatus::singular) {
-                apply_fallback_block(b, r, z);
-                return;
+    // The numeric pass's task list: each group chunk fuses gather -> lane
+    // solve -> scatter on its slice of the persistent workspace, with the
+    // row offsets resolved at setup (no per-element div/mod, no per-apply
+    // InterleavedVectors, no zero-fill of padding lanes -- the matrix
+    // padding is identity, so stale padding values pass through the
+    // solve and stay finite without ever being read); each range task
+    // runs the per-block solve over its blocks.
+    const auto body = [&](size_type t) {
+        const auto& task = sym_->tasks[static_cast<std::size_t>(t)];
+        if (task.group == no_group) {
+            for (size_type i = task.lo; i < task.hi; ++i) {
+                solve_block(sym_->scalar_blocks[static_cast<std::size_t>(i)],
+                            r, z);
+            }
+            return;
+        }
+        const auto& sg = simd_groups_[static_cast<std::size_t>(task.group)];
+        const auto& row_offsets =
+            sym_->groups[static_cast<std::size_t>(task.group)].row_offsets;
+        const auto m = static_cast<size_type>(sg.group.size());
+        const auto lanes = static_cast<size_type>(sg.group.lanes());
+        const size_type lane_lo = task.chunk * lanes;
+        const size_type lane_hi = std::min(lane_lo + lanes, sg.group.count());
+        T* chunk_vals = sg.rhs.values() + task.chunk * m * lanes;
+        for (size_type l = lane_lo; l < lane_hi; ++l) {
+            const T* src = r.data() + row_offsets[static_cast<std::size_t>(l)];
+            T* dst = chunk_vals + (l - lane_lo);
+            for (size_type i = 0; i < m; ++i) {
+                dst[i * lanes] = src[i];
             }
         }
-        const auto off = static_cast<std::size_t>(layout_->row_offset(b));
-        const auto m = static_cast<std::size_t>(layout_->size(b));
-        const std::span<T> zb = z.subspan(off, m);
-        for (std::size_t i = 0; i < m; ++i) {
-            zb[i] = r[off + i];
+        if (rbt_enabled()) {
+            // y = V solve(LU, U^T b): vector transforms bracket the
+            // pivot-free lane solve. Lanes holding blocks that left the
+            // fast path produce finite garbage here and are re-solved by
+            // the pivoted fix-up pass below.
+            core::rbt_forward_interleaved_chunk(sg.group, sg.rhs,
+                                                sg.ucoef.data(),
+                                                rbt_.depth(), task.chunk);
+            core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk,
+                                          core::PivotPolicy::none);
+            core::rbt_backward_interleaved_chunk(sg.group, sg.rhs,
+                                                 sg.vcoef.data(),
+                                                 rbt_.depth(), task.chunk);
+        } else {
+            core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk);
         }
-        switch (options_.backend) {
-        case BlockJacobiBackend::lu:
-        case BlockJacobiBackend::lu_simd:  // handled above; unreachable
-            if (rbt_applied(b)) {
-                rbt_.forward(b, zb);
-                core::getrs_single_nopivot(factors_.view(b), zb,
-                                           options_.trsv_variant);
-                rbt_.backward(b, zb);
-            } else {
-                core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                                   options_.trsv_variant);
+        for (size_type l = lane_lo; l < lane_hi; ++l) {
+            T* dst = z.data() + row_offsets[static_cast<std::size_t>(l)];
+            const T* src = chunk_vals + (l - lane_lo);
+            for (size_type i = 0; i < m; ++i) {
+                dst[i] = src[i * lanes];
             }
-            break;
-        case BlockJacobiBackend::gauss_huard:
-            core::gauss_huard_solve(factors_.view(b), pivots_.span(b), zb,
-                                    core::GhStorage::standard);
-            break;
-        case BlockJacobiBackend::gauss_huard_t:
-            core::gauss_huard_solve(factors_.view(b), pivots_.span(b), zb,
-                                    core::GhStorage::transposed);
-            break;
-        case BlockJacobiBackend::cholesky:
-            core::potrs_single(factors_.view(b), zb, options_.trsv_variant);
-            break;
-        case BlockJacobiBackend::gje_inversion: {
-            // z_b := D_b^{-1} r_b as a small GEMV from the inverted block.
-            const auto inv = factors_.view(b);
-            std::array<T, max_block_size> y{};
-            for (index_type j = 0; j < inv.cols(); ++j) {
-                const T xj = zb[static_cast<std::size_t>(j)];
-                const T* col = inv.col(j);
-                for (index_type i = 0; i < inv.rows(); ++i) {
-                    y[static_cast<std::size_t>(i)] += col[i] * xj;
-                }
-            }
-            for (std::size_t i = 0; i < m; ++i) {
-                zb[i] = y[i];
-            }
-            break;
-        }
         }
     };
+    const auto ntasks = static_cast<size_type>(sym_->tasks.size());
     if (options_.parallel) {
-        ThreadPool::global().parallel_for(0, layout_->count(), body,
-                                          batch_entry_grain);
+        ThreadPool::global().parallel_for(0, ntasks, body, 1);
     } else {
-        for (size_type b = 0; b < layout_->count(); ++b) {
-            body(b);
+        for (size_type t = 0; t < ntasks; ++t) {
+            body(t);
         }
+    }
+    // Blocks that left the RBT fast path but hold usable pivoted factors
+    // are re-solved through the pivoted per-block path (their group lanes
+    // ran the pivot-free solve on pivoted factors above).
+    for (const auto b : rbt_pivoted_blocks_) {
+        solve_block(b, r, z);
+    }
+    // Degraded blocks route through the inverse-diagonal fallback; the
+    // fix-up pass overwrites whatever the chunk or per-block solve
+    // produced for them from their identity factors (the few degraded
+    // blocks do not justify a lane path).
+    for (const auto b : degraded_blocks_) {
+        apply_fallback_block(b, r, z);
     }
 }
 
@@ -1042,9 +984,10 @@ typename BlockJacobi<T>::Diagnostics BlockJacobi<T>::diagnostics(
 template <typename T>
 std::string BlockJacobi<T>::name() const {
     std::string backend = backend_name(options_.backend);
-    if (options_.backend == BlockJacobiBackend::lu_simd) {
-        backend += std::string("[") + core::simd_isa_name(options_.simd) +
-                   "]";
+    if (sym_->lanes > 1) {
+        backend += std::string("[") + core::simd_isa_name(sym_->isa) + "]";
+    } else if (options_.backend == BlockJacobiBackend::lu_simd) {
+        backend = "lu";  // one lane: the paper's per-block LU
     }
     if (options_.pivot == PivotScheme::rbt) {
         backend += "+rbt";

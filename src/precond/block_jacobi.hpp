@@ -4,11 +4,13 @@
 //
 // The interchangeable factorization backends reproduce the paper's
 // comparison:
-//   lu             - the small-size LU with implicit pivoting (this work)
-//   lu_simd        - the same LU routed through the interleaved SIMD
-//                    kernels: same-size classes of the block layout run
-//                    lane-parallel, ragged leftovers take the scalar path;
-//                    numerically identical to `lu` with eager solves
+//   lu_simd        - the small-size LU with implicit pivoting (this work)
+//                    at any lane width: same-size classes of the block
+//                    layout run lane-parallel through the interleaved SIMD
+//                    kernels, ragged leftovers take the per-block path. At
+//                    SimdIsa::scalar (one lane; factory key "lu", name
+//                    "lu") every block takes the per-block path. Every
+//                    width rounds identically.
 //   gauss_huard    - GH factorization, solve reads the factors row-wise
 //   gauss_huard_t  - GH with transpose-friendly factor storage
 //   gje_inversion  - explicit inversion via Gauss-Jordan; application is a
@@ -39,33 +41,35 @@
 
 namespace vbatch::precond {
 
-enum class BlockJacobiBackend { lu, lu_simd, gauss_huard, gauss_huard_t,
+enum class BlockJacobiBackend { lu_simd, gauss_huard, gauss_huard_t,
                                 gje_inversion, cholesky };
 
 std::string backend_name(BlockJacobiBackend backend);
 
 /// The complete symbolic (pattern-only) state of a block-Jacobi setup:
 /// block layout, extraction gather plan, interleaved group shapes +
-/// lane gather maps, and the fused task lists. Everything in here
-/// depends only on the sparsity pattern, the block bound and (for the
-/// lane path) the vector width -- never on the values -- so one
-/// immutable instance can be shared by any number of preconditioners
-/// over same-pattern matrices (the service layer's plan cache holds
-/// exactly these, refcounted through the shared_ptr).
+/// lane gather maps, and the task list. Everything in here depends only
+/// on the sparsity pattern, the block bound and the lane width -- never
+/// on the values -- so one immutable instance can be shared by any
+/// number of preconditioners over same-pattern matrices (the service
+/// layer's plan cache holds exactly these, refcounted through the
+/// shared_ptr). Each block has exactly one owner: one lane of one group
+/// chunk, or one slot of one per-block range.
 struct BlockJacobiSymbolic {
     core::BatchLayoutPtr layout;
     /// Cached CSR -> block extraction plan (carries the 64-bit pattern
     /// fingerprint adoption is validated against).
     blocking::GatherPlan plan;
-    /// ISA the lane-path groups were built for; scalar when lanes == 1.
+    /// ISA the lane groups were built for (see lane_width).
     core::SimdIsa isa = core::SimdIsa::scalar;
-    /// Matrices per vector instruction. 1 = scalar path only (shared by
-    /// every non-lane backend of the same T-independent task split).
+    /// Matrices per vector instruction. At 1 there are no groups and
+    /// every block is on the per-block path; that plan is shared by the
+    /// one-lane LU and every other backend.
     index_type lanes = 1;
     /// The agglomeration bound the layout was derived under.
     index_type max_block_size = 0;
 
-    /// One same-size class of the lane path (empty when lanes == 1).
+    /// One same-size class of the lane path (none when lanes == 1).
     struct Group {
         index_type size = 0;
         /// Block ids assigned to the lanes, in lane order.
@@ -78,14 +82,13 @@ struct BlockJacobiSymbolic {
         size_type chunks = 0;
     };
     std::vector<Group> groups;
-    /// Ragged leftovers taking the scalar path (lane path only).
+    /// Blocks on the per-block path: the ragged leftovers of the groups,
+    /// or every block when lanes == 1.
     std::vector<size_type> scalar_blocks;
-    /// Blocks solved through the interleaved lanes.
-    size_type simd_block_count = 0;
 
-    /// One unit of fused numeric work: either chunk `chunk` of
-    /// groups[group] (group != no_group) or a scalar block range
-    /// [lo, hi).
+    /// One unit of numeric and apply work: either chunk `chunk` of
+    /// groups[group] (group != no_group) or the per-block blocks
+    /// scalar_blocks[lo, hi).
     struct Task {
         size_type group = no_group;
         size_type chunk = 0;
@@ -94,12 +97,6 @@ struct BlockJacobiSymbolic {
     };
     static constexpr size_type no_group = -1;
     std::vector<Task> tasks;
-    /// Every group's chunks flattened (the lane-path apply task list).
-    struct Chunk {
-        size_type group;
-        size_type chunk;
-    };
-    std::vector<Chunk> apply_chunks;
 
     /// Build-time attribution (copied into SetupPhases when a
     /// preconditioner builds its own symbolic; adoption costs zero).
@@ -114,17 +111,19 @@ struct BlockJacobiSymbolic {
 using BlockJacobiSymbolicPtr = std::shared_ptr<const BlockJacobiSymbolic>;
 
 struct BlockJacobiOptions {
-    BlockJacobiBackend backend = BlockJacobiBackend::lu;
+    BlockJacobiBackend backend = BlockJacobiBackend::lu_simd;
     /// Upper bound for the supervariable agglomeration (Table I sweeps
     /// {8, 12, 16, 24, 32}).
     index_type max_block_size = 32;
-    /// Eager or lazy triangular solves (LU backend only; lu_simd always
-    /// solves eagerly, which is the variant the paper selects).
+    /// Eager or lazy triangular solves of the per-block LU and Cholesky
+    /// solves. Lane chunks always solve eagerly, which is the variant the
+    /// paper selects.
     core::TrsvVariant trsv_variant = core::TrsvVariant::eager;
-    /// Instruction set for the lu_simd backend (clamped by availability;
-    /// defaults to the widest the machine supports).
+    /// Instruction set of the LU backend (clamped by availability;
+    /// defaults to the widest the machine supports). SimdIsa::scalar is
+    /// the one-lane LU, the paper's per-block kernel.
     core::SimdIsa simd = core::detect_simd_isa();
-    /// Pivoting scheme of the lu / lu_simd backends. PivotScheme::rbt
+    /// Pivoting scheme of the LU backend. PivotScheme::rbt
     /// preprocesses every block with a seeded random butterfly transform
     /// and factorizes without pivoting (core/rbt.hpp); blocks the
     /// butterflies fail to regularize are refactorized with implicit
@@ -150,19 +149,29 @@ struct BlockJacobiOptions {
     /// Adopt a prebuilt symbolic analysis (see
     /// build_block_jacobi_symbolic) instead of running blocking +
     /// analysis here. The instance must have been built for the same
-    /// pattern, block bound, and -- for lu_simd -- the same ISA/lane
-    /// width as this setup; adoption validates all of that and throws
-    /// vbatch::BadParameter on a mismatch. Takes precedence over
-    /// `layout`. Empty = analyze locally.
+    /// pattern, block bound and lane_width as this setup; adoption
+    /// validates all of that and throws vbatch::BadParameter on a
+    /// mismatch. Takes precedence over `layout`. Empty = analyze locally.
     BlockJacobiSymbolicPtr symbolic;
 };
 
+/// The ISA and lane count a setup under `options` runs at: the LU
+/// backend's options.simd clamped to what is available, and one scalar
+/// lane for every other backend.
+template <typename T>
+core::LaneWidth lane_width(const BlockJacobiOptions& options) {
+    if (options.backend != BlockJacobiBackend::lu_simd) {
+        return {};
+    }
+    const auto isa = core::resolve_simd_isa(options.simd);
+    return {isa, core::simd_lanes<T>(isa)};
+}
+
 /// Run only the symbolic layer of a block-Jacobi setup for `a` under
-/// `options` (blocking, gather-plan analysis, size-class bucketing,
-/// lane gather maps, fused task lists) and return it as an immutable
-/// shareable object. T matters only through the lane width of the
-/// lu_simd backend; every scalar-path backend of either precision can
-/// adopt the same instance.
+/// `options` (blocking, gather-plan analysis, size-class bucketing at
+/// more than one lane, lane gather maps, task list) and return it as an
+/// immutable shareable object. T matters only through lane_width; every
+/// one-lane setup of either precision can adopt the same instance.
 template <typename T>
 BlockJacobiSymbolicPtr build_block_jacobi_symbolic(
     const sparse::Csr<T>& a, const BlockJacobiOptions& options);
@@ -189,11 +198,12 @@ public:
     /// from the one analyzed at construction.
     void refresh(const sparse::Csr<T>& a) override;
 
-    /// z := M^{-1} r. Performs no heap allocation: the lu_simd path runs
-    /// on persistent per-group workspaces and precomputed row-offset maps
-    /// built at setup. Consequently apply is NOT safe to call concurrently
-    /// on the same object (distinct objects are fine); the Krylov solvers
-    /// apply strictly one at a time.
+    /// z := M^{-1} r over the same task list as the numeric pass. Performs
+    /// no heap allocation: lane chunks run on persistent per-group
+    /// workspaces and precomputed row-offset maps built at setup.
+    /// Consequently apply is NOT safe to call concurrently on the same
+    /// object (distinct objects are fine); the Krylov solvers apply
+    /// strictly one at a time.
     void apply(std::span<const T> r, std::span<T> z) const override;
 
     std::string name() const override;
@@ -213,7 +223,7 @@ public:
         /// Supervariable blocking (symbolic; zero when a layout is given).
         double blocking_seconds = 0.0;
         /// Symbolic analysis: gather-plan build, size-class bucketing,
-        /// interleaved-group layout and the fused task list.
+        /// interleaved-group layout and the task list.
         double plan_seconds = 0.0;
         /// Numeric gather of the CSR values into the factor storage (the
         /// former extraction phase, now fused into the chunk tasks).
@@ -273,10 +283,11 @@ public:
     /// not retained); cost O(sum m_i^3), intended for analysis runs.
     Diagnostics diagnostics(const sparse::Csr<T>& a) const;
 
-    /// Blocks solved through the interleaved lanes (lu_simd backend only;
-    /// the remainder takes the scalar per-block path).
+    /// Blocks solved through the interleaved lanes (none at one lane; the
+    /// remainder takes the per-block path).
     size_type num_simd_blocks() const noexcept {
-        return sym_ ? sym_->simd_block_count : 0;
+        return layout_->count() -
+               static_cast<size_type>(sym_->scalar_blocks.size());
     }
 
 private:
@@ -314,21 +325,9 @@ private:
     /// blocks into the persistent storage, then breakdown recovery.
     /// Shared by construction and refresh(); resets all numeric state.
     void run_numeric(const sparse::Csr<T>& a);
-    /// i-th block of the scalar (non-lane) path.
-    size_type scalar_block(size_type i) const {
-        return sym_->lanes > 1
-                   ? sym_->scalar_blocks[static_cast<std::size_t>(i)]
-                   : i;
-    }
-    size_type scalar_count() const {
-        return sym_->lanes > 1
-                   ? static_cast<size_type>(sym_->scalar_blocks.size())
-                   : layout_->count();
-    }
-    /// Build the persistent rhs workspaces, offset maps and the flat
-    /// chunk-task list apply_simd dispatches over (setup-time only).
-    void build_apply_workspaces();
-    void apply_simd(std::span<const T> r, std::span<T> z) const;
+    /// The backend's per-block solve z_b := D_b^{-1} r_b of block b.
+    void solve_block(size_type b, std::span<const T> r,
+                     std::span<T> z) const;
     /// Degeneracy scan + boost/fallback pipeline (non-strict setup only).
     void recover(std::span<const T> values, core::FactorizeStatus& status);
     /// Run the backend's single-block factorization on block b in place;

@@ -9,8 +9,10 @@
 // never switch on the backend enum again.
 //
 // Built-in keys: "none" (identity), "jacobi" (scalar Jacobi), and the
-// block-Jacobi backends "lu", "lu-simd", "gh", "gh-t", "gje-inv",
-// "cholesky". register_backend() adds project-specific ones.
+// block-Jacobi backends "lu", "lu-simd", "gh", "gh-t", "gje-inv" (alias
+// "gje"), "cholesky". "lu" and "lu-simd" are one LU backend: "lu" pins it
+// to one lane (SimdIsa::scalar, the paper's per-block kernel), "lu-simd"
+// runs it at `simd`. register_backend() adds project-specific ones.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +41,11 @@ struct Config {
     std::string backend = "lu";
     /// Upper bound for the supervariable agglomeration.
     index_type max_block_size = 32;
-    /// Eager or lazy triangular solves (LU backend).
+    /// Eager or lazy triangular solves of the per-block LU and Cholesky
+    /// solves (lane chunks always solve eagerly).
     core::TrsvVariant trsv_variant = core::TrsvVariant::eager;
-    /// Instruction set for the "lu-simd" backend.
+    /// Instruction set of the "lu-simd" backend ("lu" always runs at
+    /// SimdIsa::scalar; the other backends are per-block only).
     core::SimdIsa simd = core::detect_simd_isa();
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
@@ -106,5 +110,12 @@ bool symbolic_backend(const std::string& backend);
 template <typename T>
 std::shared_ptr<const BlockJacobiSymbolic> make_symbolic(
     const sparse::Csr<T>& a, const Config& config);
+
+/// The ISA and lane count make_symbolic builds at for `config` (the
+/// precond::lane_width of its block-Jacobi options); one scalar lane for
+/// backends without a symbolic phase. Same-pattern configs with equal
+/// widths can share one symbolic.
+template <typename T>
+core::LaneWidth symbolic_lane_width(const Config& config);
 
 }  // namespace vbatch::precond

@@ -29,27 +29,11 @@ PreconditionerFactory<double>& slot<double>(Entry& e) {
     return e.f64;
 }
 
-BlockJacobiOptions block_jacobi_options(const Config& config,
-                                        BlockJacobiBackend backend) {
-    BlockJacobiOptions opts;
-    opts.backend = backend;
-    opts.max_block_size = config.max_block_size;
-    opts.trsv_variant = config.trsv_variant;
-    opts.simd = config.simd;
-    opts.parallel = config.parallel;
-    opts.pivot = config.pivot;
-    opts.rbt_seed = config.rbt_seed;
-    opts.rbt_depth = config.rbt_depth;
-    opts.layout = config.layout;
-    opts.recovery = config.recovery;
-    opts.symbolic = config.symbolic;
-    return opts;
-}
-
-/// Backend keys whose setup has a shareable symbolic phase.
+/// Backend keys whose setup has a shareable symbolic phase. "lu" is the
+/// LU backend pinned to one lane (see block_jacobi_options).
 const std::map<std::string, BlockJacobiBackend>& block_jacobi_kinds() {
     static const std::map<std::string, BlockJacobiBackend> kinds = {
-        {"lu", BlockJacobiBackend::lu},
+        {"lu", BlockJacobiBackend::lu_simd},
         {"lu-simd", BlockJacobiBackend::lu_simd},
         {"gh", BlockJacobiBackend::gauss_huard},
         {"gh-t", BlockJacobiBackend::gauss_huard_t},
@@ -60,21 +44,41 @@ const std::map<std::string, BlockJacobiBackend>& block_jacobi_kinds() {
     return kinds;
 }
 
+/// The options of block-Jacobi key `key`. "lu" runs the LU at
+/// SimdIsa::scalar -- the paper's per-block kernel, which Fig. 9,
+/// Table I and the CLI tools measure -- whatever config.simd says.
+BlockJacobiOptions block_jacobi_options(const Config& config,
+                                        const std::string& key) {
+    BlockJacobiOptions opts;
+    opts.backend = block_jacobi_kinds().at(key);
+    opts.max_block_size = config.max_block_size;
+    opts.trsv_variant = config.trsv_variant;
+    opts.simd = key == "lu" ? core::SimdIsa::scalar : config.simd;
+    opts.parallel = config.parallel;
+    opts.pivot = config.pivot;
+    opts.rbt_seed = config.rbt_seed;
+    opts.rbt_depth = config.rbt_depth;
+    opts.layout = config.layout;
+    opts.recovery = config.recovery;
+    opts.symbolic = config.symbolic;
+    return opts;
+}
+
 template <typename T>
 PreconditionerPtr<T> make_block_jacobi(const sparse::Csr<T>& a,
                                        const Config& config,
-                                       BlockJacobiBackend backend) {
+                                       const std::string& key) {
     return std::make_unique<BlockJacobi<T>>(
-        a, block_jacobi_options(config, backend));
+        a, block_jacobi_options(config, key));
 }
 
-Entry block_jacobi_entry(BlockJacobiBackend backend) {
+Entry block_jacobi_entry(const std::string& key) {
     Entry e;
-    e.f32 = [backend](const sparse::Csr<float>& a, const Config& c) {
-        return make_block_jacobi<float>(a, c, backend);
+    e.f32 = [key](const sparse::Csr<float>& a, const Config& c) {
+        return make_block_jacobi<float>(a, c, key);
     };
-    e.f64 = [backend](const sparse::Csr<double>& a, const Config& c) {
-        return make_block_jacobi<double>(a, c, backend);
+    e.f64 = [key](const sparse::Csr<double>& a, const Config& c) {
+        return make_block_jacobi<double>(a, c, key);
     };
     return e;
 }
@@ -101,18 +105,9 @@ std::map<std::string, Entry> builtin_entries() {
             std::make_unique<ScalarJacobi<double>>(a));
     };
     entries.emplace("jacobi", std::move(jacobi));
-    for (const auto backend :
-         {BlockJacobiBackend::lu, BlockJacobiBackend::lu_simd,
-          BlockJacobiBackend::gauss_huard,
-          BlockJacobiBackend::gauss_huard_t,
-          BlockJacobiBackend::gje_inversion,
-          BlockJacobiBackend::cholesky}) {
-        entries.emplace(backend_name(backend),
-                        block_jacobi_entry(backend));
+    for (const auto& kind : block_jacobi_kinds()) {
+        entries.emplace(kind.first, block_jacobi_entry(kind.first));
     }
-    // Short alias the CLI tools historically accepted.
-    entries.emplace("gje",
-                    block_jacobi_entry(BlockJacobiBackend::gje_inversion));
     return entries;
 }
 
@@ -180,13 +175,19 @@ bool symbolic_backend(const std::string& backend) {
 template <typename T>
 std::shared_ptr<const BlockJacobiSymbolic> make_symbolic(
     const sparse::Csr<T>& a, const Config& config) {
-    const auto& kinds = block_jacobi_kinds();
-    const auto it = kinds.find(config.backend);
-    if (it == kinds.end()) {
+    if (!symbolic_backend(config.backend)) {
         return nullptr;
     }
     return build_block_jacobi_symbolic(
-        a, block_jacobi_options(config, it->second));
+        a, block_jacobi_options(config, config.backend));
+}
+
+template <typename T>
+core::LaneWidth symbolic_lane_width(const Config& config) {
+    if (!symbolic_backend(config.backend)) {
+        return {};
+    }
+    return lane_width<T>(block_jacobi_options(config, config.backend));
 }
 
 template PreconditionerPtr<float> make_preconditioner<float>(
@@ -201,5 +202,7 @@ template std::shared_ptr<const BlockJacobiSymbolic> make_symbolic<float>(
     const sparse::Csr<float>&, const Config&);
 template std::shared_ptr<const BlockJacobiSymbolic> make_symbolic<double>(
     const sparse::Csr<double>&, const Config&);
+template core::LaneWidth symbolic_lane_width<float>(const Config&);
+template core::LaneWidth symbolic_lane_width<double>(const Config&);
 
 }  // namespace vbatch::precond

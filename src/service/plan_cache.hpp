@@ -106,16 +106,11 @@ public:
         key.num_rows = a.num_rows();
         key.nnz = a.nnz();
         key.max_block_size = config.max_block_size;
-        if (config.backend == "lu-simd") {
-            // Mirror the builder's clamp so the key names the ISA the
-            // symbolic will actually be built for.
-            auto isa = config.simd;
-            if (!core::simd_isa_available(isa)) {
-                isa = core::detect_simd_isa();
-            }
-            key.isa = isa;
-            key.lanes = core::simd_lanes<T>(isa);
-        }
+        // The width the symbolic will actually be built at, so e.g. the
+        // one-lane "lu" and "gh" tenants of one pattern share a plan.
+        const auto width = precond::symbolic_lane_width<T>(config);
+        key.isa = width.isa;
+        key.lanes = width.lanes;
         return key;
     }
 

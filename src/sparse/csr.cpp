@@ -90,11 +90,16 @@ void Csr<T>::build_spmv_partition(std::vector<size_type>& parts) const {
     // More parts than pool participants so the dynamic chunk claiming in
     // parallel_for can still even out residual imbalance (a single part
     // can never be split, so a lone hub row bounds the critical path at
-    // max(row_nnz, nnz/parts)).
-    const auto target_parts = std::min<size_type>(
-        num_rows_,
-        static_cast<size_type>(8 * ThreadPool::global().size()));
+    // max(row_nnz, nnz/parts)). No part holds fewer than
+    // spmv_min_part_nnz entries unless the whole matrix does: below that
+    // a part costs less than handing it to another thread, so small
+    // products run inline on the caller.
     const size_type total = nnz();
+    const auto target_parts = std::max<size_type>(
+        1, std::min<size_type>(
+               {num_rows_,
+                static_cast<size_type>(8 * ThreadPool::global().size()),
+                total / spmv_min_part_nnz}));
     for (size_type p = 1; p < target_parts; ++p) {
         const size_type goal = total * p / target_parts;
         const auto it = std::lower_bound(row_ptrs_.begin(), row_ptrs_.end(),

@@ -29,6 +29,11 @@
 
 namespace vbatch::sparse {
 
+/// Fewest stored entries an spmv partition part holds (unless the whole
+/// matrix holds fewer): one part must outweigh the cost of a thread
+/// picking it up.
+inline constexpr size_type spmv_min_part_nnz = 4096;
+
 /// One (row, col, value) entry of a matrix in construction.
 template <typename T>
 struct Triplet {

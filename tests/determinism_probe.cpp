@@ -1,6 +1,7 @@
 // Cross-process determinism probe: runs every Krylov solver over the full
-// hot path (nnz-balanced spmv, fused BLAS-1, block-Jacobi apply with both
-// LU backends) and writes an FNV-1a hash of all solution bit patterns to
+// hot path (nnz-balanced spmv, fused BLAS-1, block-Jacobi apply with the
+// LU at one lane and at the native width) and writes an FNV-1a hash of all
+// solution bit patterns to
 // argv[1]. CTest launches this binary under VBATCH_THREADS=1, 2 and 8 and
 // compares the output files byte for byte -- the pool size is fixed at
 // startup, so thread-count independence can only be proven across
@@ -57,10 +58,9 @@ int main(int argc, char** argv) {
     }
 
     Fnv1a hash;
-    for (const auto backend : {precond::BlockJacobiBackend::lu,
-                               precond::BlockJacobiBackend::lu_simd}) {
+    for (const auto isa : {core::SimdIsa::scalar, core::detect_simd_isa()}) {
         precond::BlockJacobiOptions popts;
-        popts.backend = backend;
+        popts.simd = isa;
         popts.max_block_size = 16;
         const precond::BlockJacobi<double> prec(a, popts);
 
@@ -110,10 +110,10 @@ int main(int argc, char** argv) {
         const auto layout = blocking::supervariable_layout(
             graded, blocking::BlockingOptions{.max_block_size = 16});
         blocking::make_blocks_illcond(graded, *layout, 6);
-        for (const auto backend : {precond::BlockJacobiBackend::lu,
-                                   precond::BlockJacobiBackend::lu_simd}) {
+        for (const auto isa :
+             {core::SimdIsa::scalar, core::detect_simd_isa()}) {
             precond::BlockJacobiOptions popts;
-            popts.backend = backend;
+            popts.simd = isa;
             popts.max_block_size = 16;
             popts.layout = layout;
             popts.pivot = precond::PivotScheme::rbt;

@@ -207,7 +207,7 @@ TEST(CholeskyBlockJacobi, AcceleratesCgOnSpdProblem) {
     // Same preconditioner via LU: identical math, so iteration counts are
     // essentially equal; Cholesky just does less setup work.
     precond::BlockJacobiOptions lopts;
-    lopts.backend = precond::BlockJacobiBackend::lu;
+    lopts.simd = core::SimdIsa::scalar;
     lopts.max_block_size = 16;
     precond::BlockJacobi<double> lu(a, lopts);
     std::vector<double> x2(b.size(), 0.0);

@@ -407,16 +407,27 @@ TEST(SpmvPartition, SetValuesKeepsStructureAndPartition) {
     EXPECT_EQ(before, after);
 }
 
+TEST(SpmvPartition, SmallProductIsOnePart) {
+    // Fewer than two parts' worth of stored entries: the product stays
+    // one part, so it is never scattered across the pool, whatever the
+    // pool size.
+    const auto a = sparse::laplacian_2d<double>(20, 20);
+    ASSERT_LT(a.nnz(), 2 * sparse::spmv_min_part_nnz);
+    const auto parts = a.spmv_partition();
+    ASSERT_EQ(parts.size(), 2u);
+    EXPECT_EQ(parts.front(), 0);
+    EXPECT_EQ(parts.back(), a.num_rows());
+}
+
 // ---------------------------------------------------------------------
 // Zero-allocation BlockJacobi apply
 // ---------------------------------------------------------------------
 
 TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
-    for (const auto backend : {precond::BlockJacobiBackend::lu,
-                               precond::BlockJacobiBackend::lu_simd}) {
+    for (const auto isa : {core::SimdIsa::scalar, core::detect_simd_isa()}) {
         const auto a = sparse::laplacian_2d<double>(40, 40);
         precond::BlockJacobiOptions opts;
-        opts.backend = backend;
+        opts.simd = isa;
         opts.max_block_size = 12;
         const precond::BlockJacobi<double> prec(a, opts);
         const auto nz = static_cast<std::size_t>(a.num_rows());
@@ -430,14 +441,14 @@ TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
         }
         const long after = g_allocations.load(std::memory_order_relaxed);
         EXPECT_EQ(after - before, 0)
-            << backend_name(backend) << ": apply allocated";
+            << prec.name() << ": apply allocated";
     }
 }
 
 TEST(BlockJacobiApply, SimdPathMatchesScalarBackendBitwise) {
     const auto a = sparse::circuit_like<double>(900, 5, 4, 60, 21);
     precond::BlockJacobiOptions scalar_opts;
-    scalar_opts.backend = precond::BlockJacobiBackend::lu;
+    scalar_opts.simd = core::SimdIsa::scalar;
     const precond::BlockJacobi<double> scalar(a, scalar_opts);
     precond::BlockJacobiOptions simd_opts;
     simd_opts.backend = precond::BlockJacobiBackend::lu_simd;

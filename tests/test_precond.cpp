@@ -85,8 +85,7 @@ TEST_P(BlockJacobiBackends, ApplyEqualsDenseBlockSolve) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BlockJacobiBackends,
-                         ::testing::Values(BlockJacobiBackend::lu,
-                                           BlockJacobiBackend::lu_simd,
+                         ::testing::Values(BlockJacobiBackend::lu_simd,
                                            BlockJacobiBackend::gauss_huard,
                                            BlockJacobiBackend::gauss_huard_t,
                                            BlockJacobiBackend::gje_inversion));
@@ -99,7 +98,7 @@ TEST(BlockJacobi, SimdBackendMatchesScalarLuBitwise) {
         r[i] = std::cos(0.3 * static_cast<double>(i));
     }
     BlockJacobiOptions lu_opts;
-    lu_opts.backend = BlockJacobiBackend::lu;
+    lu_opts.simd = core::SimdIsa::scalar;
     BlockJacobi<double> lu(a, lu_opts);
     std::vector<double> z_lu(n);
     lu.apply(std::span<const double>(r), std::span<double>(z_lu));
@@ -135,8 +134,12 @@ TEST(BlockJacobi, SimdBackendMatchesScalarLuBitwise) {
                 << core::simd_isa_name(isa) << " row " << i;
         }
         EXPECT_LE(simd.num_simd_blocks(), simd.num_blocks());
-        EXPECT_EQ(simd.name(), std::string("block-jacobi(lu-simd[") +
-                                   core::simd_isa_name(isa) + "],32)");
+        // One lane is the paper's per-block LU and is named after it.
+        EXPECT_EQ(simd.name(),
+                  isa == core::SimdIsa::scalar
+                      ? std::string("block-jacobi(lu,32)")
+                      : std::string("block-jacobi(lu-simd[") +
+                            core::simd_isa_name(isa) + "],32)");
     }
 }
 
@@ -146,7 +149,7 @@ TEST(BlockJacobi, BackendsAgreeWithinRounding) {
     std::vector<double> r(n, 1.0);
     std::vector<double> z_lu(n), z_gh(n);
     BlockJacobiOptions lu_opts;
-    lu_opts.backend = BlockJacobiBackend::lu;
+    lu_opts.simd = core::SimdIsa::scalar;
     BlockJacobi<double> lu(a, lu_opts);
     lu.apply(std::span<const double>(r), std::span<double>(z_lu));
     BlockJacobiOptions gh_opts;
@@ -230,9 +233,12 @@ TEST(BlockJacobi, TrsvVariantsGiveSameAnswer) {
     const auto a = sparse::laplacian_2d<double>(6, 6, 3);
     const auto n = static_cast<std::size_t>(a.num_rows());
     std::vector<double> r(n, 2.0), z1(n), z2(n);
+    // One lane, so every block takes the per-block solve the variant
+    // selects (lane chunks always solve eagerly).
     BlockJacobiOptions o1;
+    o1.simd = core::SimdIsa::scalar;
     o1.trsv_variant = core::TrsvVariant::eager;
-    BlockJacobiOptions o2;
+    BlockJacobiOptions o2 = o1;
     o2.trsv_variant = core::TrsvVariant::lazy;
     BlockJacobi<double>(a, o1).apply(std::span<const double>(r),
                                      std::span<double>(z1));

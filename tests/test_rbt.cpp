@@ -1,7 +1,8 @@
 // Tests for the pivoting-free fast path: butterfly scheme and scalar
 // transforms (core/rbt.hpp), and the PivotScheme::rbt integration of the
-// block-Jacobi lu / lu_simd backends -- solve equivalence against the
-// pivoted reference, bitwise scalar==SIMD agreement, seed determinism,
+// block-Jacobi LU at one lane and at every SIMD width -- solve
+// equivalence against the pivoted reference, bitwise scalar==SIMD
+// agreement, seed determinism,
 // and the degeneracy monitor + pivoted fallback under adversarial
 // (graded near-singular) injection. Registered once per VBATCH_SIMD
 // level via vbatch_add_simd_matrix_test.
@@ -226,7 +227,7 @@ TEST(BlockJacobiRbt, SolveMatchesPivotedWithinTolerance) {
     const auto r = rhs(n);
 
     precond::BlockJacobiOptions implicit_opts;
-    implicit_opts.backend = precond::BlockJacobiBackend::lu;
+    implicit_opts.simd = core::SimdIsa::scalar;
     implicit_opts.max_block_size = 16;
     precond::BlockJacobi<double> pivoted(a, implicit_opts);
     std::vector<double> z_ref(r.size());
@@ -256,7 +257,7 @@ TEST(BlockJacobiRbt, SimdBackendMatchesScalarBitwise) {
     const auto r = rhs(n);
 
     precond::BlockJacobiOptions lu_opts;
-    lu_opts.backend = precond::BlockJacobiBackend::lu;
+    lu_opts.simd = core::SimdIsa::scalar;
     lu_opts.pivot = precond::PivotScheme::rbt;
     precond::BlockJacobi<double> lu(a, lu_opts);
     std::vector<double> z_lu(r.size());
@@ -374,7 +375,7 @@ TEST(BlockJacobiRbt, IllcondInjectionFallsBackToPivotedFactors) {
     // The pivoted reference keeps the graded blocks (their pivots sit
     // above the implicit-path eps^2 tolerance)...
     precond::BlockJacobiOptions implicit_opts;
-    implicit_opts.backend = precond::BlockJacobiBackend::lu;
+    implicit_opts.simd = core::SimdIsa::scalar;
     implicit_opts.max_block_size = 16;
     implicit_opts.layout = layout;
     precond::BlockJacobi<double> pivoted(a, implicit_opts);
@@ -479,7 +480,7 @@ TEST(BlockJacobiRbt, FloatPathSolvesWithinPrecisionTolerance) {
 TEST(BlockJacobiRbt, RejectsStrictRecoveryAndNonLuBackends) {
     const auto a = sparse::laplacian_2d<double>(4, 4, 4);
     precond::BlockJacobiOptions opts;
-    opts.backend = precond::BlockJacobiBackend::lu;
+    opts.simd = core::SimdIsa::scalar;
     opts.pivot = precond::PivotScheme::rbt;
     opts.recovery = precond::RecoveryPolicy::strict();
     EXPECT_THROW((precond::BlockJacobi<double>(a, opts)), BadParameter);

@@ -38,13 +38,42 @@ core::BatchLayoutPtr three_block_layout() {
     return core::make_layout({2, 2, 2});
 }
 
-class RecoveryBackends
-    : public ::testing::TestWithParam<BlockJacobiBackend> {};
+/// The backends under test: the LU at one lane ("lu") and at the native
+/// width ("lu_simd"), then the alternatives.
+enum class Backend { lu, lu_simd, gh, gh_t, gje_inv, cholesky };
+
+BlockJacobiOptions backend_options(Backend backend) {
+    BlockJacobiOptions opts;
+    switch (backend) {
+    case Backend::lu:
+        opts.simd = core::SimdIsa::scalar;
+        break;
+    case Backend::lu_simd: break;
+    case Backend::gh: opts.backend = BlockJacobiBackend::gauss_huard; break;
+    case Backend::gh_t:
+        opts.backend = BlockJacobiBackend::gauss_huard_t;
+        break;
+    case Backend::gje_inv:
+        opts.backend = BlockJacobiBackend::gje_inversion;
+        break;
+    case Backend::cholesky:
+        opts.backend = BlockJacobiBackend::cholesky;
+        break;
+    }
+    return opts;
+}
+
+std::string backend_label(Backend backend) {
+    static const char* const names[] = {"lu",   "lu_simd", "gh",
+                                        "gh_t", "gje_inv", "cholesky"};
+    return names[static_cast<int>(backend)];
+}
+
+class RecoveryBackends : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(RecoveryBackends, StatusPerBlock) {
     const auto a = three_block_matrix();
-    BlockJacobiOptions opts;
-    opts.backend = GetParam();
+    auto opts = backend_options(GetParam());
     opts.layout = three_block_layout();
     const BlockJacobi<double> prec(a, opts);
 
@@ -69,8 +98,7 @@ TEST_P(RecoveryBackends, StatusPerBlock) {
 
 TEST_P(RecoveryBackends, StrictPolicyThrows) {
     const auto a = three_block_matrix();
-    BlockJacobiOptions opts;
-    opts.backend = GetParam();
+    auto opts = backend_options(GetParam());
     opts.layout = three_block_layout();
     opts.recovery = RecoveryPolicy::strict();
     EXPECT_THROW((BlockJacobi<double>(a, opts)), SingularMatrix);
@@ -78,16 +106,9 @@ TEST_P(RecoveryBackends, StrictPolicyThrows) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, RecoveryBackends,
-    ::testing::Values(BlockJacobiBackend::lu, BlockJacobiBackend::lu_simd,
-                      BlockJacobiBackend::gauss_huard,
-                      BlockJacobiBackend::gauss_huard_t,
-                      BlockJacobiBackend::gje_inversion,
-                      BlockJacobiBackend::cholesky),
-    [](const auto& info) {
-        auto name = backend_name(info.param);
-        std::replace(name.begin(), name.end(), '-', '_');
-        return name;
-    });
+    ::testing::Values(Backend::lu, Backend::lu_simd, Backend::gh,
+                      Backend::gh_t, Backend::gje_inv, Backend::cholesky),
+    [](const auto& info) { return backend_label(info.param); });
 
 TEST(Recovery, BoostedBlockStillPreconditions) {
     // Tridiagonal 6x6 whose middle diagonal block is exactly singular;
@@ -217,7 +238,7 @@ TEST(Recovery, BitwiseScalarVsSimdWithBoostedBlocks) {
     const auto layout = core::make_uniform_layout(nb, m);
 
     BlockJacobiOptions scalar_opts;
-    scalar_opts.backend = BlockJacobiBackend::lu;
+    scalar_opts.simd = core::SimdIsa::scalar;
     scalar_opts.layout = layout;
     const BlockJacobi<double> scalar(a, scalar_opts);
 

@@ -3,8 +3,8 @@
 // sharing across backends, LRU eviction under a byte budget, admission
 // control (reject and block), concurrent request storms bitwise equal
 // to serial execution, update_values equivalence with a fresh setup,
-// the bounded queue, the solver factory, and the thread-safe lazy CSR
-// partition these pieces lean on.
+// the solver factory, and the thread-safe lazy CSR partition these
+// pieces lean on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "precond/block_jacobi.hpp"
 #include "service/engine.hpp"
 #include "service/plan_cache.hpp"
-#include "service/queue.hpp"
 #include "solvers/config.hpp"
 #include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
@@ -474,43 +473,6 @@ TEST(Engine, DrainQuiesces) {
     for (auto& f : futures) {
         EXPECT_TRUE(f.get().accepted);
     }
-}
-
-// -- bounded queue ----------------------------------------------------
-
-TEST(BoundedQueue, FifoOrderAndCapacity) {
-    BoundedQueue<int> q(3);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    EXPECT_TRUE(q.try_push(3));
-    EXPECT_FALSE(q.try_push(4));
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_TRUE(q.try_push(4));
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.pop().value(), 4);
-    EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedQueue, CloseDrainsThenReportsEmpty) {
-    BoundedQueue<int> q(2);
-    EXPECT_TRUE(q.push(1));
-    q.close();
-    EXPECT_FALSE(q.push(2));
-    EXPECT_FALSE(q.try_push(2));
-    EXPECT_EQ(q.pop().value(), 1);  // queued items survive close
-    EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, BlockedProducerWakesOnPop) {
-    BoundedQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-    std::thread producer([&] { EXPECT_TRUE(q.push(2)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(q.pop().value(), 1);
-    producer.join();
-    EXPECT_EQ(q.pop().value(), 2);
 }
 
 // -- solver factory ---------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the symbolic/numeric setup split: gather plans vs the
-// reference extraction, pattern fingerprinting, BlockJacobi::refresh
-// bitwise equality with a fresh setup (scalar and SIMD backends),
+// reference extraction, pattern fingerprinting, single ownership of every
+// block in the symbolic task list, BlockJacobi::refresh bitwise equality
+// with a fresh setup (one lane and SIMD),
 // pattern-mismatch rejection, refresh-after-recovery behavior, the new
 // SetupPhases breakdown and the plan-reuse counters.
 #include <gtest/gtest.h>
@@ -185,7 +186,9 @@ TEST_P(RefreshBackends, RefreshIsRepeatable) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, RefreshBackends,
-    ::testing::Values(BlockJacobiBackend::lu, BlockJacobiBackend::lu_simd,
+    // lu_simd runs at the leg's VBATCH_SIMD level, so the scalar leg
+    // covers the one-lane LU.
+    ::testing::Values(BlockJacobiBackend::lu_simd,
                       BlockJacobiBackend::gauss_huard,
                       BlockJacobiBackend::gauss_huard_t,
                       BlockJacobiBackend::gje_inversion),
@@ -198,7 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Refresh, SimdMatchesScalarAfterRefresh) {
     const auto a = test_matrix();
     BlockJacobiOptions scalar_opts;
-    scalar_opts.backend = BlockJacobiBackend::lu;
+    scalar_opts.simd = core::SimdIsa::scalar;
     scalar_opts.max_block_size = 12;
     BlockJacobi<double> scalar(a, scalar_opts);
     BlockJacobiOptions simd_opts = scalar_opts;
@@ -242,6 +245,65 @@ TEST(Refresh, FloatBackendBitwise) {
     expect_same_factors(prec, fresh);
 }
 
+// -- symbolic plan: one owner per block -------------------------------
+
+/// Every block must be owned by exactly one task of the numeric and
+/// apply passes: one lane of one group chunk, or one slot of one
+/// per-block range. Two owners race on the block's factors.
+void expect_single_owner(const BlockJacobiSymbolic& sym) {
+    std::vector<int> owners(static_cast<std::size_t>(sym.layout->count()),
+                            0);
+    for (const auto& task : sym.tasks) {
+        if (task.group != BlockJacobiSymbolic::no_group) {
+            const auto& indices =
+                sym.groups.at(static_cast<std::size_t>(task.group)).indices;
+            const size_type lo = task.chunk * sym.lanes;
+            const size_type hi = std::min(
+                lo + sym.lanes, static_cast<size_type>(indices.size()));
+            for (size_type l = lo; l < hi; ++l) {
+                ++owners.at(static_cast<std::size_t>(
+                    indices[static_cast<std::size_t>(l)]));
+            }
+        } else {
+            ASSERT_LE(task.hi,
+                      static_cast<size_type>(sym.scalar_blocks.size()))
+                << "per-block range runs past the per-block list";
+            for (size_type i = task.lo; i < task.hi; ++i) {
+                ++owners.at(static_cast<std::size_t>(
+                    sym.scalar_blocks[static_cast<std::size_t>(i)]));
+            }
+        }
+    }
+    for (std::size_t b = 0; b < owners.size(); ++b) {
+        EXPECT_EQ(owners[b], 1) << "block " << b;
+    }
+}
+
+TEST(SymbolicPlan, EveryBlockHasExactlyOneOwner) {
+    const auto a = sparse::fem_block_matrix<double>(60, 4, 12, 2, 0.2, 29);
+    const auto af = sparse::fem_block_matrix<float>(60, 4, 12, 2, 0.2, 29);
+    for (const auto isa : core::available_simd_isas()) {
+        SCOPED_TRACE(core::simd_isa_name(isa));
+        BlockJacobiOptions opts;
+        opts.backend = BlockJacobiBackend::lu_simd;
+        opts.simd = isa;
+        const auto sym = build_block_jacobi_symbolic(a, opts);
+        EXPECT_EQ(sym->isa, isa);
+        EXPECT_EQ(sym->lanes, core::simd_lanes<double>(isa));
+        expect_single_owner(*sym);
+        expect_single_owner(*build_block_jacobi_symbolic(af, opts));
+        if (isa == core::SimdIsa::scalar) {
+            EXPECT_TRUE(sym->groups.empty());
+        }
+    }
+    BlockJacobiOptions gh;
+    gh.backend = BlockJacobiBackend::gauss_huard;
+    const auto sym = build_block_jacobi_symbolic(a, gh);
+    EXPECT_EQ(sym->lanes, 1);
+    EXPECT_TRUE(sym->groups.empty());
+    expect_single_owner(*sym);
+}
+
 // -- refresh: pattern-mismatch rejection ------------------------------
 
 TEST(Refresh, PatternMismatchThrows) {
@@ -280,7 +342,7 @@ TEST(Refresh, RecoveryStateRebuiltPerRefresh) {
     const auto layout = blocking::supervariable_layout(a, bopts);
     BlockJacobiOptions opts;
     opts.layout = layout;
-    opts.backend = BlockJacobiBackend::lu;
+    opts.simd = core::SimdIsa::scalar;
     BlockJacobi<double> prec(a, opts);
     EXPECT_EQ(prec.recovery_summary().degraded(), 0);
 
