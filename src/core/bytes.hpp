@@ -50,6 +50,16 @@ double getrs_bytes(index_type m) {
            d * static_cast<double>(sizeof(index_type));
 }
 
+/// getrs_bytes of an envelope-bounded solve (core/trsv.hpp) that streams
+/// `entries` of the m^2 factor entries; equals getrs_bytes at
+/// entries = m^2.
+template <typename T>
+double getrs_envelope_bytes(index_type m, double entries) {
+    const double d = m;
+    return (entries + 2.0 * d) * static_cast<double>(sizeof(T)) +
+           d * static_cast<double>(sizeof(index_type));
+}
+
 /// Interleaved-SoA variant of getrs_bytes (padded class size).
 template <typename T>
 double getrs_bytes_interleaved(index_type m, index_type padded_m) {

@@ -301,13 +301,17 @@ void getrf_chunk(T* a, index_type* perm, index_type* info,
 }
 
 /// Permute + unit-lower + upper triangular solve of one lane chunk (the
-/// vector twin of getrs_single with the eager variant). The
-/// PivotPolicy::none instantiation skips the permutation gather entirely
-/// (perm may be null).
+/// vector twin of getrs_single with the eager variant), bounded by the
+/// chunk's column envelope `env` (envelope_scan_chunk): the AXPY updates
+/// of column k run over rows k+1..env[k] of L and env[m+k]..k-1 of U
+/// only. The rows outside hold exact zeros in every lane, and skipping
+/// b_i -= 0 * b_k leaves every finite b_i bitwise unchanged (up to the
+/// sign of a zero b_i). The PivotPolicy::none instantiation skips the
+/// permutation gather entirely (perm may be null).
 template <typename T, typename Backend,
           PivotPolicy P = PivotPolicy::implicit>
-void getrs_chunk(const T* a, const index_type* perm, T* b,
-                 const index_type m, const size_type stride) {
+void getrs_chunk(const T* a, const index_type* perm, const index_type* env,
+                 T* b, const index_type m, const size_type stride) {
     using V = simd::Simd<T, Backend>;
     constexpr index_type w = V::width;
     if (m == 0) {
@@ -335,7 +339,8 @@ void getrs_chunk(const T* a, const index_type* perm, T* b,
     for (index_type k = 0; k + 1 < m; ++k) {
         const V bk = V::load(b + static_cast<size_type>(k) * stride);
         const T* colk = a + static_cast<size_type>(k) * m * stride;
-        for (index_type i = k + 1; i < m; ++i) {
+        const index_type last = env[k];
+        for (index_type i = k + 1; i <= last; ++i) {
             T* elem = b + static_cast<size_type>(i) * stride;
             const V colk_i =
                 V::load(colk + static_cast<size_type>(i) * stride);
@@ -350,7 +355,7 @@ void getrs_chunk(const T* a, const index_type* perm, T* b,
         const V diag = V::load(colk + static_cast<size_type>(k) * stride);
         const V bk = V::load(bk_elem) / diag;
         bk.store(bk_elem);
-        for (index_type i = 0; i < k; ++i) {
+        for (index_type i = env[m + k]; i < k; ++i) {
             T* elem = b + static_cast<size_type>(i) * stride;
             const V colk_i =
                 V::load(colk + static_cast<size_type>(i) * stride);
@@ -429,6 +434,39 @@ void diag_scan_chunk(const T* lu, const index_type m, const size_type stride,
     minacc.store(min_piv);
     maxacc.store(max_piv);
     *nonfinite_bits = andnot(M::all_lanes(), allfinite).bits();
+}
+
+/// Column envelope of one factorized chunk, the union over its lanes:
+/// env[k] (= last_l[k]) is the last row below the diagonal of column k
+/// that holds a nonzero in any lane, env[m + k] (= first_u[k]) the first
+/// row above it that does; either is k when there is none. Each bound is
+/// found by walking the column from its end toward the diagonal, so a
+/// dense column costs one vector load per bound. NaN counts as nonzero
+/// (it compares unequal to zero), -0 as zero. At one lane (the scalar
+/// backend, stride 1) this is the per-block envelope of getrs_single.
+template <typename T, typename Backend>
+void envelope_scan_chunk(const T* lu, const index_type m,
+                         const size_type stride, index_type* env) {
+    using V = simd::Simd<T, Backend>;
+    using M = typename V::mask;
+    const V zero = V::zero();
+    for (index_type k = 0; k < m; ++k) {
+        const T* colk = lu + static_cast<size_type>(k) * m * stride;
+        const auto nonzero = [&](index_type i) {
+            const V x = V::load(colk + static_cast<size_type>(i) * stride);
+            return andnot(M::all_lanes(), x == zero).any();
+        };
+        index_type last = m - 1;
+        while (last > k && !nonzero(last)) {
+            --last;
+        }
+        index_type first = 0;
+        while (first < k && !nonzero(first)) {
+            ++first;
+        }
+        env[k] = last;
+        env[m + k] = first;
+    }
 }
 
 // ---------------------------------------------------------------------

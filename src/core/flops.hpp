@@ -25,6 +25,14 @@ inline double getrs_flops(index_type m) {
     return 2.0 * d * d;
 }
 
+/// Flops of one envelope-bounded solve (core/trsv.hpp) that streams
+/// `entries` factor entries: one multiply-subtract per off-diagonal entry
+/// and one divide per diagonal entry, charged 2 each like getrs_flops
+/// (which this equals at entries = m^2).
+inline double getrs_envelope_flops(double entries) {
+    return 2.0 * entries;
+}
+
 /// Nominal flops of one explicit m x m inversion (Gauss-Jordan).
 inline double invert_flops(index_type m) {
     const double d = m;

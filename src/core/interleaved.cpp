@@ -13,6 +13,17 @@ size_type padded_stride(size_type count, index_type lanes) {
     return (count + l - 1) / l * l;
 }
 
+/// Full bounds for every chunk: last_l[k] = m-1, first_u[k] = 0.
+void reset_envelopes(index_type* env, index_type m, size_type chunks) {
+    for (size_type c = 0; c < chunks; ++c) {
+        index_type* e = env + c * 2 * m;
+        for (index_type k = 0; k < m; ++k) {
+            e[k] = m - 1;
+            e[m + k] = 0;
+        }
+    }
+}
+
 }  // namespace
 
 template <typename T>
@@ -27,7 +38,8 @@ InterleavedGroup<T>::InterleavedGroup(index_type m, size_type count,
                                       stride_)),
       pivots_(AlignedBuffer<index_type>::zeros(static_cast<size_type>(m) *
                                                stride_)),
-      info_(AlignedBuffer<index_type>::zeros(stride_)) {
+      info_(AlignedBuffer<index_type>::zeros(stride_)),
+      envelope_(2 * static_cast<size_type>(m) * (stride_ / lanes_)) {
     VBATCH_ENSURE(m >= 0 && m <= max_block_size,
                   "block size out of range for interleaved group");
     VBATCH_ENSURE(count >= 1, "interleaved group must not be empty");
@@ -44,6 +56,7 @@ InterleavedGroup<T>::InterleavedGroup(index_type m, size_type count,
             pivots_[pivot_index(d, l)] = d;
         }
     }
+    reset_envelopes(envelope_.data(), m_, chunks());
 }
 
 template <typename T>
@@ -62,6 +75,7 @@ void InterleavedGroup<T>::pack_matrices(const BatchedMatrices<T>& src,
             }
         }
     }
+    reset_envelopes(envelope_.data(), m_, chunks());
 }
 
 template <typename T>

@@ -19,6 +19,9 @@
 //   pivots[(chunk*m + k) * lanes + lane]         = perm[k] of matrix l
 //   info[l]                                      = 0 or 1-based
 //                                                  breakdown step
+//   envelope[chunk*2*m + k], [chunk*2*m + m + k] = last_l[k], first_u[k]
+//                                                  of the chunk's factors
+//                                                  (envelope_scan_chunk)
 //
 // lane_stride is the group count rounded up to the SIMD width of the ISA
 // the group was built for; padding lanes hold identity matrices so the
@@ -56,6 +59,12 @@ public:
     const index_type* pivots() const noexcept { return pivots_.data(); }
     index_type* info() noexcept { return info_.data(); }
     const index_type* info() const noexcept { return info_.data(); }
+    /// Per-chunk column envelopes (2*m entries per chunk) bounding the
+    /// triangular solves. Full bounds (every row streamed) until a
+    /// factorization or envelope_interleaved_chunk records the real ones;
+    /// pack_matrices resets them to full bounds.
+    index_type* envelope() noexcept { return envelope_.data(); }
+    const index_type* envelope() const noexcept { return envelope_.data(); }
 
     /// Element (r, c) of lane l (bounds unchecked; for tests/pack code).
     size_type value_index(index_type r, index_type c,
@@ -71,6 +80,7 @@ public:
 
     /// Gather blocks src[idx[l]] into lanes l = 0..idx.size()-1. The group
     /// count must equal idx.size(); every block must have order size().
+    /// Resets every chunk's envelope to full bounds.
     void pack_matrices(const BatchedMatrices<T>& src,
                        std::span<const size_type> idx);
     void pack_pivots(const BatchedPivots& src,
@@ -101,6 +111,7 @@ private:
     AlignedBuffer<T> values_;
     AlignedBuffer<index_type> pivots_;
     AlignedBuffer<index_type> info_;
+    AlignedBuffer<index_type> envelope_;
 };
 
 /// Interleaved right-hand-side / solution vectors matching an

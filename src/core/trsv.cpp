@@ -23,15 +23,19 @@ void apply_permutation(std::span<const index_type> perm, std::span<T> b) {
 
 template <typename T>
 void trsv_lower_unit(ConstMatrixView<T> lu, std::span<T> b,
-                     TrsvVariant variant) {
+                     TrsvVariant variant, std::span<const index_type> env) {
     const index_type m = lu.rows();
     VBATCH_ENSURE_DIMS(m == static_cast<index_type>(b.size()));
+    VBATCH_ENSURE_DIMS(env.empty() ||
+                       static_cast<index_type>(env.size()) == 2 * m);
     if (variant == TrsvVariant::eager) {
-        // AXPY-oriented: after y_k is final, update the trailing vector.
+        // AXPY-oriented: after y_k is final, update the trailing vector
+        // (down to the column's last nonzero).
         for (index_type k = 0; k + 1 < m; ++k) {
             const T bk = b[k];
             const T* col = lu.col(k);
-            for (index_type i = k + 1; i < m; ++i) {
+            const index_type last = env.empty() ? m - 1 : env[k];
+            for (index_type i = k + 1; i <= last; ++i) {
                 b[i] -= col[i] * bk;
             }
         }
@@ -48,15 +52,19 @@ void trsv_lower_unit(ConstMatrixView<T> lu, std::span<T> b,
 }
 
 template <typename T>
-void trsv_upper(ConstMatrixView<T> lu, std::span<T> b, TrsvVariant variant) {
+void trsv_upper(ConstMatrixView<T> lu, std::span<T> b, TrsvVariant variant,
+                std::span<const index_type> env) {
     const index_type m = lu.rows();
     VBATCH_ENSURE_DIMS(m == static_cast<index_type>(b.size()));
+    VBATCH_ENSURE_DIMS(env.empty() ||
+                       static_cast<index_type>(env.size()) == 2 * m);
     if (variant == TrsvVariant::eager) {
         for (index_type k = m - 1; k >= 0; --k) {
             b[k] /= lu(k, k);
             const T bk = b[k];
             const T* col = lu.col(k);
-            for (index_type i = 0; i < k; ++i) {
+            const index_type first = env.empty() ? 0 : env[m + k];
+            for (index_type i = first; i < k; ++i) {
                 b[i] -= col[i] * bk;
             }
         }
@@ -73,17 +81,19 @@ void trsv_upper(ConstMatrixView<T> lu, std::span<T> b, TrsvVariant variant) {
 
 template <typename T>
 void getrs_single(ConstMatrixView<T> lu, std::span<const index_type> perm,
-                  std::span<T> b, TrsvVariant variant) {
+                  std::span<T> b, TrsvVariant variant,
+                  std::span<const index_type> env) {
     apply_permutation(perm, b);
-    trsv_lower_unit(lu, b, variant);
-    trsv_upper(lu, b, variant);
+    trsv_lower_unit(lu, b, variant, env);
+    trsv_upper(lu, b, variant, env);
 }
 
 template <typename T>
 void getrs_single_nopivot(ConstMatrixView<T> lu, std::span<T> b,
-                          TrsvVariant variant) {
-    trsv_lower_unit(lu, b, variant);
-    trsv_upper(lu, b, variant);
+                          TrsvVariant variant,
+                          std::span<const index_type> env) {
+    trsv_lower_unit(lu, b, variant, env);
+    trsv_upper(lu, b, variant, env);
 }
 
 template <typename T>
@@ -111,14 +121,16 @@ void getrs_batch(const BatchedMatrices<T>& lu, const BatchedPivots& perm,
     template void apply_permutation<T>(std::span<const index_type>,          \
                                        std::span<T>);                        \
     template void trsv_lower_unit<T>(ConstMatrixView<T>, std::span<T>,       \
-                                     TrsvVariant);                           \
+                                     TrsvVariant,                            \
+                                     std::span<const index_type>);           \
     template void trsv_upper<T>(ConstMatrixView<T>, std::span<T>,            \
-                                TrsvVariant);                                \
+                                TrsvVariant, std::span<const index_type>);   \
     template void getrs_single<T>(ConstMatrixView<T>,                        \
                                   std::span<const index_type>, std::span<T>, \
-                                  TrsvVariant);                              \
+                                  TrsvVariant, std::span<const index_type>); \
     template void getrs_single_nopivot<T>(ConstMatrixView<T>, std::span<T>,  \
-                                          TrsvVariant);                      \
+                                          TrsvVariant,                       \
+                                          std::span<const index_type>);      \
     template void getrs_batch<T>(const BatchedMatrices<T>&,                  \
                                  const BatchedPivots&, BatchedVectors<T>&,   \
                                  const TrsvOptions&)

@@ -32,6 +32,28 @@ void getrs_batch(const BatchedMatrices<T>& lu, const BatchedPivots& perm,
 
 /// Single-problem building blocks (exposed for tests / the preconditioner
 /// application which drives them directly).
+///
+/// The eager variant optionally takes the factor's column envelope `env`
+/// (2m entries from factor_envelope, core/vectorized.hpp): env[k] is the
+/// last row below the diagonal of column k holding a nonzero, env[m + k]
+/// the first row above it (k when none). The AXPY updates then run over
+/// those rows only -- the skipped ones would subtract an exact zero
+/// product, which leaves every finite entry of b bitwise unchanged up to
+/// the sign of a zero. Empty env = full bounds; the lazy variant always
+/// runs full bounds.
+
+/// Factor entries an eager solve bounded by `env` (2m entries) streams:
+/// the diagonal plus, per column, the rows inside the envelope; m^2 for
+/// full bounds.
+inline double envelope_entries(std::span<const index_type> env) {
+    const auto m = static_cast<index_type>(env.size() / 2);
+    double entries = m;
+    for (index_type k = 0; k < m; ++k) {
+        entries += env[static_cast<std::size_t>(k)] -
+                   env[static_cast<std::size_t>(m + k)];
+    }
+    return entries;
+}
 
 /// b := P b with gather indices perm (perm[k] = source position of k).
 template <typename T>
@@ -40,21 +62,25 @@ void apply_permutation(std::span<const index_type> perm, std::span<T> b);
 /// b := L^-1 b, L unit lower triangular stored in `lu`.
 template <typename T>
 void trsv_lower_unit(ConstMatrixView<T> lu, std::span<T> b,
-                     TrsvVariant variant);
+                     TrsvVariant variant,
+                     std::span<const index_type> env = {});
 
 /// b := U^-1 b, U upper triangular stored in `lu`.
 template <typename T>
-void trsv_upper(ConstMatrixView<T> lu, std::span<T> b, TrsvVariant variant);
+void trsv_upper(ConstMatrixView<T> lu, std::span<T> b, TrsvVariant variant,
+                std::span<const index_type> env = {});
 
 /// Full single-problem solve: permute + lower + upper.
 template <typename T>
 void getrs_single(ConstMatrixView<T> lu, std::span<const index_type> perm,
-                  std::span<T> b, TrsvVariant variant = TrsvVariant::eager);
+                  std::span<T> b, TrsvVariant variant = TrsvVariant::eager,
+                  std::span<const index_type> env = {});
 
 /// Solve with pivot-free factors (getrf_nopivot / PivotPolicy::none):
 /// lower + upper only, no permutation gather.
 template <typename T>
 void getrs_single_nopivot(ConstMatrixView<T> lu, std::span<T> b,
-                          TrsvVariant variant = TrsvVariant::eager);
+                          TrsvVariant variant = TrsvVariant::eager,
+                          std::span<const index_type> env = {});
 
 }  // namespace vbatch::core

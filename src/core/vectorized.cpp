@@ -63,43 +63,43 @@ void run_getrf_chunk(SimdIsa isa, PivotPolicy pivot, T* a, index_type* perm,
 
 template <typename T>
 void run_getrs_chunk(SimdIsa isa, PivotPolicy pivot, const T* lu,
-                     const index_type* perm, T* b, index_type m,
-                     size_type stride) {
+                     const index_type* perm, const index_type* env, T* b,
+                     index_type m, size_type stride) {
     if (pivot == PivotPolicy::none) {
         switch (isa) {
         case SimdIsa::scalar:
-            getrs_nopivot_chunk_scalar(lu, b, m, stride);
+            getrs_nopivot_chunk_scalar(lu, env, b, m, stride);
             break;
         case SimdIsa::sse2:
-            getrs_nopivot_chunk_sse2(lu, b, m, stride);
+            getrs_nopivot_chunk_sse2(lu, env, b, m, stride);
             break;
         case SimdIsa::avx2:
-            getrs_nopivot_chunk_avx2(lu, b, m, stride);
+            getrs_nopivot_chunk_avx2(lu, env, b, m, stride);
             break;
         case SimdIsa::avx512:
-            getrs_nopivot_chunk_avx512(lu, b, m, stride);
+            getrs_nopivot_chunk_avx512(lu, env, b, m, stride);
             break;
         case SimdIsa::neon:
-            getrs_nopivot_chunk_neon(lu, b, m, stride);
+            getrs_nopivot_chunk_neon(lu, env, b, m, stride);
             break;
         }
         return;
     }
     switch (isa) {
     case SimdIsa::scalar:
-        getrs_chunk_scalar(lu, perm, b, m, stride);
+        getrs_chunk_scalar(lu, perm, env, b, m, stride);
         break;
     case SimdIsa::sse2:
-        getrs_chunk_sse2(lu, perm, b, m, stride);
+        getrs_chunk_sse2(lu, perm, env, b, m, stride);
         break;
     case SimdIsa::avx2:
-        getrs_chunk_avx2(lu, perm, b, m, stride);
+        getrs_chunk_avx2(lu, perm, env, b, m, stride);
         break;
     case SimdIsa::avx512:
-        getrs_chunk_avx512(lu, perm, b, m, stride);
+        getrs_chunk_avx512(lu, perm, env, b, m, stride);
         break;
     case SimdIsa::neon:
-        getrs_chunk_neon(lu, perm, b, m, stride);
+        getrs_chunk_neon(lu, perm, env, b, m, stride);
         break;
     }
 }
@@ -161,6 +161,28 @@ void run_diag_scan_chunk(SimdIsa isa, const T* lu, index_type m,
     case SimdIsa::neon:
         diag_scan_chunk_neon(lu, m, stride, min_piv, max_piv,
                              nonfinite_bits);
+        break;
+    }
+}
+
+template <typename T>
+void run_envelope_scan_chunk(SimdIsa isa, const T* lu, index_type m,
+                             size_type stride, index_type* env) {
+    switch (isa) {
+    case SimdIsa::scalar:
+        envelope_scan_chunk_scalar(lu, m, stride, env);
+        break;
+    case SimdIsa::sse2:
+        envelope_scan_chunk_sse2(lu, m, stride, env);
+        break;
+    case SimdIsa::avx2:
+        envelope_scan_chunk_avx2(lu, m, stride, env);
+        break;
+    case SimdIsa::avx512:
+        envelope_scan_chunk_avx512(lu, m, stride, env);
+        break;
+    case SimdIsa::neon:
+        envelope_scan_chunk_neon(lu, m, stride, env);
         break;
     }
 }
@@ -286,9 +308,7 @@ FactorizeStatus getrf_interleaved(InterleavedGroup<T>& g,
                                   const VectorizedOptions& opts) {
     obs::TraceRegion trace("getrf_interleaved");
     record_launch("getrf", g.isa(), g.count());
-    const auto isa = g.isa();
     const auto m = g.size();
-    const size_type lanes = g.lanes();
 
     FactorizeStatus status;
     if (opts.monitor) {
@@ -321,12 +341,8 @@ FactorizeStatus getrf_interleaved(InterleavedGroup<T>& g,
         }
     }
 
-    // Chunk-local layout: chunk c owns m*m*lanes contiguous values and
-    // m*lanes pivots; the in-chunk lane stride is the vector width.
     const auto body = [&](size_type c) {
-        run_getrf_chunk(isa, opts.pivot, g.values() + c * m * m * lanes,
-                        g.pivots() + c * m * lanes, g.info() + c * lanes,
-                        m, lanes);
+        getrf_interleaved_chunk(g, c, opts.pivot);
     };
     if (opts.parallel) {
         ThreadPool::global().parallel_for(0, g.chunks(), body, 1);
@@ -382,11 +398,31 @@ FactorizeStatus getrf_interleaved(InterleavedGroup<T>& g,
 template <typename T>
 void getrf_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk,
                              PivotPolicy pivot) {
+    // Chunk-local layout: chunk c owns m*m*lanes contiguous values and
+    // m*lanes pivots; the in-chunk lane stride is the vector width.
     const auto m = static_cast<size_type>(g.size());
     const size_type lanes = g.lanes();
     run_getrf_chunk(g.isa(), pivot, g.values() + chunk * m * m * lanes,
                     g.pivots() + chunk * m * lanes,
                     g.info() + chunk * lanes, g.size(), lanes);
+    // Record the envelope while the chunk's factors are cache-hot.
+    envelope_interleaved_chunk(g, chunk);
+}
+
+template <typename T>
+void envelope_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk) {
+    const auto m = static_cast<size_type>(g.size());
+    const size_type lanes = g.lanes();
+    run_envelope_scan_chunk(g.isa(), g.values() + chunk * m * m * lanes,
+                            g.size(), lanes, g.envelope() + chunk * 2 * m);
+}
+
+template <typename T>
+void factor_envelope(ConstMatrixView<T> lu, std::span<index_type> env) {
+    const index_type m = lu.rows();
+    VBATCH_ENSURE_DIMS(lu.cols() == m && lu.ld() == m &&
+                       static_cast<index_type>(env.size()) == 2 * m);
+    run_envelope_scan_chunk(SimdIsa::scalar, lu.data(), m, 1, env.data());
 }
 
 template <typename T>
@@ -519,6 +555,7 @@ void getrs_interleaved_chunk(const InterleavedGroup<T>& g,
     const size_type lanes = g.lanes();
     run_getrs_chunk(g.isa(), pivot, g.values() + chunk * m * m * lanes,
                     g.pivots() + chunk * m * lanes,
+                    g.envelope() + chunk * 2 * m,
                     b.values() + chunk * m * lanes, g.size(), lanes);
 }
 
@@ -640,6 +677,10 @@ void getrs_batch_vectorized(const BatchedMatrices<T>& lu,
                                              size_type, PivotPolicy);        \
     template void getrf_interleaved_chunk<T>(InterleavedGroup<T>&,           \
                                              size_type, PivotPolicy);        \
+    template void envelope_interleaved_chunk<T>(InterleavedGroup<T>&,        \
+                                                size_type);                  \
+    template void factor_envelope<T>(ConstMatrixView<T>,                     \
+                                     std::span<index_type>);                 \
     template void rbt_transform_interleaved_chunk<T>(                        \
         InterleavedGroup<T>&, const T*, const T*, index_type, size_type);    \
     template void rbt_forward_interleaved_chunk<T>(                          \

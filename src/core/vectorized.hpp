@@ -82,10 +82,25 @@ void getrs_interleaved_chunk(const InterleavedGroup<T>& g,
 
 /// Factorize one chunk of the group, inline on the calling thread -- the
 /// getrf counterpart of getrs_interleaved_chunk. Building block of the
-/// fused gather+factorize setup pass.
+/// fused gather+factorize setup pass. Records the chunk's envelope from
+/// the final factors (envelope_interleaved_chunk).
 template <typename T>
 void getrf_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk,
                              PivotPolicy pivot = PivotPolicy::implicit);
+
+/// Record the column envelope of one chunk's factors (the union over its
+/// lanes, see envelope_scan_chunk in core/chunk_kernels.hpp) into
+/// g.envelope(); the chunk solves stream only the rows inside it. Call
+/// after writing factors into a chunk by any route other than
+/// getrf_interleaved_chunk (pack_matrices leaves full bounds).
+template <typename T>
+void envelope_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk);
+
+/// Column envelope of one contiguous factored block: the same scan at
+/// one lane. env receives 2*m entries (last_l, then first_u) for the
+/// envelope-bounded eager getrs_single / getrs_single_nopivot.
+template <typename T>
+void factor_envelope(ConstMatrixView<T> lu, std::span<index_type> env);
 
 /// Two-sided random butterfly transform A := U^T A V of one chunk's
 /// matrices in place. `ucoef`/`vcoef` point at the group's

@@ -19,14 +19,16 @@ namespace vbatch::core {
     void getrf_chunk_##suffix(T* a, index_type* perm, index_type* info,      \
                               index_type m, size_type lane_stride);          \
     template <typename T>                                                    \
-    void getrs_chunk_##suffix(const T* lu, const index_type* perm, T* b,     \
-                              index_type m, size_type lane_stride);          \
+    void getrs_chunk_##suffix(const T* lu, const index_type* perm,           \
+                              const index_type* env, T* b, index_type m,     \
+                              size_type lane_stride);                        \
     template <typename T>                                                    \
     void getrf_nopivot_chunk_##suffix(T* a, index_type* perm,                \
                                       index_type* info, index_type m,        \
                                       size_type lane_stride);                \
     template <typename T>                                                    \
-    void getrs_nopivot_chunk_##suffix(const T* lu, T* b, index_type m,       \
+    void getrs_nopivot_chunk_##suffix(const T* lu, const index_type* env,    \
+                                      T* b, index_type m,                    \
                                       size_type lane_stride);                \
     template <typename T>                                                    \
     void pack_zero_chunk_##suffix(T* vals, size_type n);                     \
@@ -38,6 +40,10 @@ namespace vbatch::core {
     void diag_scan_chunk_##suffix(const T* lu, index_type m,                 \
                                   size_type lane_stride, T* min_piv,         \
                                   T* max_piv, unsigned* nonfinite_bits);     \
+    template <typename T>                                                    \
+    void envelope_scan_chunk_##suffix(const T* lu, index_type m,             \
+                                      size_type lane_stride,                 \
+                                      index_type* env);                      \
     template <typename T>                                                    \
     void rbt_transform_chunk_##suffix(T* a, const T* ucoef, const T* vcoef,  \
                                       index_type m, index_type depth,        \

@@ -17,9 +17,10 @@ void getrf_chunk_scalar(T* a, index_type* perm, index_type* info,
 }
 
 template <typename T>
-void getrs_chunk_scalar(const T* lu, const index_type* perm, T* b,
-                        index_type m, size_type lane_stride) {
-    getrs_chunk<T, ChunkBackend>(lu, perm, b, m, lane_stride);
+void getrs_chunk_scalar(const T* lu, const index_type* perm,
+                        const index_type* env, T* b, index_type m,
+                        size_type lane_stride) {
+    getrs_chunk<T, ChunkBackend>(lu, perm, env, b, m, lane_stride);
 }
 
 template <typename T>
@@ -30,9 +31,9 @@ void getrf_nopivot_chunk_scalar(T* a, index_type* perm, index_type* info,
 }
 
 template <typename T>
-void getrs_nopivot_chunk_scalar(const T* lu, T* b, index_type m,
-                                size_type lane_stride) {
-    getrs_chunk<T, ChunkBackend, PivotPolicy::none>(lu, nullptr, b, m,
+void getrs_nopivot_chunk_scalar(const T* lu, const index_type* env, T* b,
+                                index_type m, size_type lane_stride) {
+    getrs_chunk<T, ChunkBackend, PivotPolicy::none>(lu, nullptr, env, b, m,
                                                     lane_stride);
 }
 
@@ -54,6 +55,12 @@ void diag_scan_chunk_scalar(const T* lu, index_type m, size_type lane_stride,
                             unsigned* nonfinite_bits) {
     diag_scan_chunk<T, ChunkBackend>(lu, m, lane_stride, min_piv, max_piv,
                                      nonfinite_bits);
+}
+
+template <typename T>
+void envelope_scan_chunk_scalar(const T* lu, index_type m,
+                                size_type lane_stride, index_type* env) {
+    envelope_scan_chunk<T, ChunkBackend>(lu, m, lane_stride, env);
 }
 
 template <typename T>
@@ -85,18 +92,21 @@ void simd_op_sweep_scalar(const simd::OpSweepInput<T>& in,
 #define VBATCH_INSTANTIATE_SCALAR_CHUNK(T)                                   \
     template void getrf_chunk_scalar<T>(T*, index_type*, index_type*,        \
                                         index_type, size_type);              \
-    template void getrs_chunk_scalar<T>(const T*, const index_type*, T*,     \
-                                        index_type, size_type);              \
+    template void getrs_chunk_scalar<T>(const T*, const index_type*,         \
+                                        const index_type*, T*, index_type,   \
+                                        size_type);                          \
     template void getrf_nopivot_chunk_scalar<T>(T*, index_type*,             \
                                                 index_type*, index_type,     \
                                                 size_type);                  \
-    template void getrs_nopivot_chunk_scalar<T>(const T*, T*, index_type,    \
-                                                size_type);                  \
+    template void getrs_nopivot_chunk_scalar<T>(const T*, const index_type*, \
+                                                T*, index_type, size_type);  \
     template void pack_zero_chunk_scalar<T>(T*, size_type);                  \
     template void pack_entry_stats_chunk_scalar<T>(const T*, size_type, T*,  \
                                                    unsigned*);               \
     template void diag_scan_chunk_scalar<T>(const T*, index_type,            \
                                             size_type, T*, T*, unsigned*);   \
+    template void envelope_scan_chunk_scalar<T>(const T*, index_type,        \
+                                                size_type, index_type*);     \
     template void rbt_transform_chunk_scalar<T>(T*, const T*, const T*,      \
                                                 index_type, index_type,      \
                                                 size_type);                  \

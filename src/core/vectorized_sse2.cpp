@@ -23,9 +23,10 @@ void getrf_chunk_sse2(T* a, index_type* perm, index_type* info,
 }
 
 template <typename T>
-void getrs_chunk_sse2(const T* lu, const index_type* perm, T* b,
-                      index_type m, size_type lane_stride) {
-    getrs_chunk<T, ChunkBackend>(lu, perm, b, m, lane_stride);
+void getrs_chunk_sse2(const T* lu, const index_type* perm,
+                      const index_type* env, T* b, index_type m,
+                      size_type lane_stride) {
+    getrs_chunk<T, ChunkBackend>(lu, perm, env, b, m, lane_stride);
 }
 
 template <typename T>
@@ -36,9 +37,9 @@ void getrf_nopivot_chunk_sse2(T* a, index_type* perm, index_type* info,
 }
 
 template <typename T>
-void getrs_nopivot_chunk_sse2(const T* lu, T* b, index_type m,
-                              size_type lane_stride) {
-    getrs_chunk<T, ChunkBackend, PivotPolicy::none>(lu, nullptr, b, m,
+void getrs_nopivot_chunk_sse2(const T* lu, const index_type* env, T* b,
+                              index_type m, size_type lane_stride) {
+    getrs_chunk<T, ChunkBackend, PivotPolicy::none>(lu, nullptr, env, b, m,
                                                     lane_stride);
 }
 
@@ -59,6 +60,12 @@ void diag_scan_chunk_sse2(const T* lu, index_type m, size_type lane_stride,
                           T* min_piv, T* max_piv, unsigned* nonfinite_bits) {
     diag_scan_chunk<T, ChunkBackend>(lu, m, lane_stride, min_piv, max_piv,
                                      nonfinite_bits);
+}
+
+template <typename T>
+void envelope_scan_chunk_sse2(const T* lu, index_type m,
+                              size_type lane_stride, index_type* env) {
+    envelope_scan_chunk<T, ChunkBackend>(lu, m, lane_stride, env);
 }
 
 template <typename T>
@@ -90,17 +97,20 @@ void simd_op_sweep_sse2(const simd::OpSweepInput<T>& in,
 #define VBATCH_INSTANTIATE_SSE2_CHUNK(T)                                     \
     template void getrf_chunk_sse2<T>(T*, index_type*, index_type*,          \
                                       index_type, size_type);                \
-    template void getrs_chunk_sse2<T>(const T*, const index_type*, T*,       \
-                                      index_type, size_type);                \
+    template void getrs_chunk_sse2<T>(const T*, const index_type*,           \
+                                      const index_type*, T*, index_type,     \
+                                      size_type);                            \
     template void getrf_nopivot_chunk_sse2<T>(T*, index_type*, index_type*,  \
                                               index_type, size_type);        \
-    template void getrs_nopivot_chunk_sse2<T>(const T*, T*, index_type,      \
-                                              size_type);                    \
+    template void getrs_nopivot_chunk_sse2<T>(const T*, const index_type*,   \
+                                              T*, index_type, size_type);    \
     template void pack_zero_chunk_sse2<T>(T*, size_type);                    \
     template void pack_entry_stats_chunk_sse2<T>(const T*, size_type, T*,    \
                                                  unsigned*);                 \
     template void diag_scan_chunk_sse2<T>(const T*, index_type, size_type,   \
                                           T*, T*, unsigned*);                \
+    template void envelope_scan_chunk_sse2<T>(const T*, index_type,          \
+                                              size_type, index_type*);       \
     template void rbt_transform_chunk_sse2<T>(T*, const T*, const T*,        \
                                               index_type, index_type,        \
                                               size_type);                    \

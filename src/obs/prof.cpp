@@ -198,6 +198,23 @@ void render_rbt(std::string& out, const JsonValue& doc) {
             counter("block_jacobi.rbt_monitored"), fellback);
 }
 
+/// Envelope-bounded block-Jacobi apply: the
+/// "block_jacobi.apply_envelope_frac" gauge (factor entries the apply
+/// streams / sum of m^2 over the blocks, from the last numeric pass).
+/// Rendered only when the document carries it.
+void render_envelope(std::string& out, const JsonValue& doc) {
+    const JsonValue* gauges = doc.find("gauges");
+    if (gauges == nullptr || !gauges->is_object() ||
+        gauges->find("block_jacobi.apply_envelope_frac") == nullptr) {
+        return;
+    }
+    appendf(out,
+            "block-jacobi apply: envelope streams %5.1f%% of the dense "
+            "factor entries\n\n",
+            member_num(*gauges, "block_jacobi.apply_envelope_frac") *
+                100.0);
+}
+
 void render_perf(std::string& out, const JsonValue& doc,
                  const Options& opts) {
     const JsonValue* perf = doc.find("perf");
@@ -292,6 +309,7 @@ std::string render_report(const JsonValue& doc, const Options& opts) {
     render_pool(out, doc);
     render_service(out, doc);
     render_rbt(out, doc);
+    render_envelope(out, doc);
     render_perf(out, doc, opts);
     return out;
 }

@@ -233,22 +233,11 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
             g.size, static_cast<size_type>(g.indices.size()), sym_->isa);
         simd_groups_.push_back(std::move(sg));
     }
-    run_numeric(a);
-    for (size_type b = 0; b < layout_->count(); ++b) {
-        const auto m = static_cast<double>(layout_->size(b));
-        apply_bytes_ += (m * m + 2.0 * m) * sizeof(T);
-        apply_flops_ += core::getrs_flops(layout_->size(b));
-        if (rbt_enabled()) {
-            // Forward (U^T b) + backward (V y) vector transforms wrap
-            // every block solve on the fast path.
-            apply_flops_ +=
-                2.0 * core::rbt_vector_flops(layout_->size(b),
-                                             rbt_.depth());
-            apply_bytes_ +=
-                2.0 * core::rbt_vector_bytes<T>(layout_->size(b),
-                                                rbt_.depth());
-        }
+    if (options_.backend == BlockJacobiBackend::lu_simd) {
+        block_envelope_.resize(
+            2 * static_cast<std::size_t>(layout_->total_rows()));
     }
+    run_numeric(a);
     setup_seconds_ = timer.seconds();
     auto& registry = obs::Registry::global();
     registry.add("block_jacobi.simd_blocks",
@@ -309,6 +298,9 @@ void BlockJacobi<T>::record_numeric_metrics() const {
     registry.add("block_jacobi.blocks_singular",
                  static_cast<double>(recovery_.singular));
     registry.set("block_jacobi.max_pivot_growth", recovery_.max_growth);
+    registry.set("block_jacobi.apply_envelope_frac",
+                 dense_entries_ > 0.0 ? apply_entries_ / dense_entries_
+                                      : 1.0);
     // Roofline traffic of this numeric pass's factorization phase under
     // the canonical models. run_numeric() resets factorize_seconds per
     // episode, so each call records exactly one pass.
@@ -338,6 +330,52 @@ void BlockJacobi<T>::record_numeric_metrics() const {
                      static_cast<double>(rbt_monitored_));
         registry.add("block_jacobi.rbt_fellback",
                      static_cast<double>(rbt_fellback_));
+    }
+}
+
+template <typename T>
+void BlockJacobi<T>::update_apply_traffic() {
+    apply_entries_ = 0.0;
+    dense_entries_ = 0.0;
+    apply_bytes_ = 0.0;
+    apply_flops_ = 0.0;
+    const auto add_blocks = [&](index_type m, double entries, double n) {
+        apply_entries_ += n * entries;
+        dense_entries_ += n * static_cast<double>(m) * m;
+        apply_bytes_ += n * core::getrs_envelope_bytes<T>(m, entries);
+        apply_flops_ += n * core::getrs_envelope_flops(entries);
+        if (rbt_enabled()) {
+            // Forward (U^T b) + backward (V y) vector transforms wrap
+            // every block solve on the fast path.
+            apply_flops_ += n * 2.0 * core::rbt_vector_flops(m, rbt_.depth());
+            apply_bytes_ +=
+                n * 2.0 * core::rbt_vector_bytes<T>(m, rbt_.depth());
+        }
+    };
+    // Every lane of a chunk streams the chunk's envelope.
+    for (const auto& sg : simd_groups_) {
+        const index_type m = sg.group.size();
+        const auto lanes = static_cast<size_type>(sg.group.lanes());
+        for (size_type c = 0; c * lanes < sg.group.count(); ++c) {
+            const std::span<const index_type> env(
+                sg.group.envelope() + c * 2 * m,
+                static_cast<std::size_t>(2 * m));
+            const size_type real =
+                std::min(lanes, sg.group.count() - c * lanes);
+            add_blocks(m, core::envelope_entries(env),
+                       static_cast<double>(real));
+        }
+    }
+    const bool envelope_solve =
+        options_.backend == BlockJacobiBackend::lu_simd &&
+        options_.trsv_variant == core::TrsvVariant::eager;
+    for (const auto b : sym_->scalar_blocks) {
+        const index_type m = layout_->size(b);
+        add_blocks(m,
+                   envelope_solve
+                       ? core::envelope_entries(block_envelope(b))
+                       : static_cast<double>(m) * m,
+                   1.0);
     }
 }
 
@@ -470,6 +508,10 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
                 const auto step = rbt_enabled()
                                       ? factorize_block_rbt(b, info)
                                       : factorize_block(b, info);
+                if (!block_envelope_.empty()) {
+                    core::factor_envelope<T>(factors_.view(b),
+                                             block_envelope(b));
+                }
                 if (step != 0) {
                     if (monitor) {
                         status.block_status[static_cast<std::size_t>(b)] =
@@ -512,6 +554,7 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
         ScopedTimer phase(setup_phases_.recovery_seconds);
         recover(values, status);
     }
+    update_apply_traffic();
 }
 
 template <typename T>
@@ -766,11 +809,16 @@ void BlockJacobi<T>::recover(std::span<const T> values,
 
     // Every bad block was restored/refactorized through the scalar
     // kernel, but the interleaved groups still hold the pre-boost lanes;
-    // repack the groups that contain one. Boosted blocks stay on the SIMD
-    // apply path (scalar and lane kernels round identically).
+    // repack the groups that contain one and rescan their envelopes.
+    // Boosted blocks stay on the SIMD apply path (scalar and lane kernels
+    // round identically); the per-block envelopes serve the blocks that
+    // are solved per block.
     std::vector<char> dirty(static_cast<std::size_t>(nb), 0);
     for (const auto b : bad) {
         dirty[static_cast<std::size_t>(b)] = 1;
+        if (!block_envelope_.empty()) {
+            core::factor_envelope<T>(factors_.view(b), block_envelope(b));
+        }
     }
     for (std::size_t g = 0; g < simd_groups_.size(); ++g) {
         auto& sg = simd_groups_[g];
@@ -782,6 +830,9 @@ void BlockJacobi<T>::recover(std::span<const T> values,
         if (needs_repack) {
             sg.group.pack_matrices(factors_, indices);
             sg.group.pack_pivots(pivots_, indices);
+            for (size_type c = 0; c < sym_->groups[g].chunks; ++c) {
+                core::envelope_interleaved_chunk(sg.group, c);
+            }
         }
     }
 }
@@ -810,11 +861,12 @@ void BlockJacobi<T>::solve_block(size_type b, std::span<const T> r,
         if (rbt_applied(b)) {
             rbt_.forward(b, zb);
             core::getrs_single_nopivot(factors_.view(b), zb,
-                                       options_.trsv_variant);
+                                       options_.trsv_variant,
+                                       block_envelope(b));
             rbt_.backward(b, zb);
         } else {
             core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                               options_.trsv_variant);
+                               options_.trsv_variant, block_envelope(b));
         }
         break;
     case BlockJacobiBackend::gauss_huard:

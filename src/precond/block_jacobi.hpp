@@ -209,10 +209,19 @@ public:
     std::string name() const override;
     double setup_seconds() const override { return setup_seconds_; }
     size_type num_blocks() const override { return layout_->count(); }
-    /// Canonical per-apply traffic (sum of getrs flop/byte models over
-    /// the blocks), for the solvers' roofline attribution.
+    /// Per-apply traffic (sum of the envelope getrs flop/byte models over
+    /// the blocks, core/flops.hpp and core/bytes.hpp), for the solvers'
+    /// roofline attribution. Recomputed by every numeric pass from the
+    /// envelopes the solves actually stream.
     double apply_flops() const override { return apply_flops_; }
     double apply_bytes() const override { return apply_bytes_; }
+    /// Factor entries one apply streams, summed over the blocks: the
+    /// chunk's column envelope for every lane of a chunk, the block's own
+    /// envelope on the per-block eager LU solve, and all m^2 entries for
+    /// the other backends and the lazy variant (see core/trsv.hpp).
+    double apply_factor_entries() const noexcept {
+        return apply_entries_;
+    }
 
     /// Per-phase breakdown of setup_seconds() (the paper's cost model
     /// separates blocking, extraction and factorization; Figs. 4-9).
@@ -344,6 +353,19 @@ private:
     /// Export the numeric-phase timings and per-status block counters
     /// to the metrics registry (shared by construction and refresh()).
     void record_numeric_metrics() const;
+    /// Recompute apply_entries_/apply_bytes_/apply_flops_ from the
+    /// current envelopes (end of every numeric pass).
+    void update_apply_traffic();
+    /// Block b's column envelope (2*m entries, LU backend only; see
+    /// core::factor_envelope), bounding its per-block eager solve.
+    std::span<index_type> block_envelope(size_type b) {
+        return {block_envelope_.data() + 2 * layout_->row_offset(b),
+                static_cast<std::size_t>(2 * layout_->size(b))};
+    }
+    std::span<const index_type> block_envelope(size_type b) const {
+        return {block_envelope_.data() + 2 * layout_->row_offset(b),
+                static_cast<std::size_t>(2 * layout_->size(b))};
+    }
     /// Overwrite a degraded block's factors/pivots with the identity so
     /// factors()/pivots() and any stray factored-path application of the
     /// block stay finite.
@@ -362,9 +384,17 @@ private:
     core::BatchedPivots pivots_;
     /// Numeric lane-path state, indexed in parallel with sym_->groups.
     std::vector<SimdGroup> simd_groups_;
-    /// Bytes one apply streams (factors + r + z) and the flops of the
-    /// batched triangular solves, precomputed at setup and fed to the
-    /// metrics registry / roofline attribution per application.
+    /// Per-block column envelopes of the LU backend, block b's 2*m
+    /// entries at 2 * row_offset(b) (empty for the other backends).
+    /// Recorded for every block on the per-block path and for every
+    /// block recovery refactorizes.
+    std::vector<index_type> block_envelope_;
+    /// Factor entries, bytes (factors + pivots + r + z) and flops one
+    /// apply streams, recomputed per numeric pass (update_apply_traffic)
+    /// and fed to the metrics registry / roofline attribution per
+    /// application. dense_entries_ = sum of m^2 over the blocks.
+    double apply_entries_ = 0.0;
+    double dense_entries_ = 0.0;
     double apply_bytes_ = 0.0;
     double apply_flops_ = 0.0;
     double setup_seconds_ = 0.0;

@@ -351,6 +351,75 @@ TEST_P(InterleavedIsas, GroupLevelRoundTripSolvesLinearSystem) {
     }
 }
 
+TEST_P(InterleavedIsas, EnvelopeFollowsEveryFactorWrite) {
+    // Tridiagonal, diagonally dominant blocks: the factorization records
+    // each chunk's band envelope, 3m - 2 of the m^2 entries.
+    const index_type m = 12;
+    const size_type count = 2 * simd_lanes<double>(GetParam()) + 1;
+    const auto layout = make_uniform_layout(count, m);
+    const auto idx = iota_indices(count);
+    BatchedMatrices<double> band(layout);
+    for (size_type b = 0; b < count; ++b) {
+        auto v = band.view(b);
+        for (index_type j = 0; j < m; ++j) {
+            for (index_type i = 0; i < m; ++i) {
+                v(i, j) = i == j ? 4.0 + static_cast<double>(b)
+                          : i - j == 1 || j - i == 1
+                              ? -1.0 - 0.1 * static_cast<double>(i)
+                              : 0.0;
+            }
+        }
+    }
+    InterleavedGroup<double> g(m, count, GetParam());
+    g.pack_matrices(band, idx);
+    VectorizedOptions opts;
+    opts.isa = GetParam();
+    opts.parallel = false;
+    ASSERT_TRUE(getrf_interleaved(g, opts).ok());
+    const auto chunk_entries = [&](size_type c) {
+        return envelope_entries(std::span<const index_type>(
+            g.envelope() + c * 2 * m, static_cast<std::size_t>(2 * m)));
+    };
+    for (size_type c = 0; c < g.chunks(); ++c) {
+        EXPECT_EQ(chunk_entries(c), 3.0 * m - 2.0) << "chunk " << c;
+    }
+
+    // Packing dense factors over the banded ones must not keep the band:
+    // pack_matrices resets every chunk to full bounds, the solve matches
+    // the full-bounds reference bitwise, and a rescan finds no zeros.
+    auto dense = BatchedMatrices<double>::random_general(layout, 5);
+    BatchedPivots perm(layout);
+    GetrfOptions fopts;
+    fopts.parallel = false;
+    getrf_batch(dense, perm, fopts);
+    g.pack_matrices(dense, idx);
+    g.pack_pivots(perm, idx);
+    for (size_type c = 0; c < g.chunks(); ++c) {
+        EXPECT_EQ(chunk_entries(c), static_cast<double>(m) * m);
+    }
+    auto b_ref = BatchedVectors<double>::random(layout, 9);
+    auto b_vec = b_ref.clone();
+    TrsvOptions ref_opts;
+    ref_opts.parallel = false;
+    getrs_batch(dense, perm, b_ref, ref_opts);
+    InterleavedVectors<double> rhs(m, count, GetParam());
+    rhs.pack(b_vec, idx);
+    getrs_interleaved(g, rhs, opts);
+    rhs.unpack(b_vec, idx);
+    for (size_type b = 0; b < count; ++b) {
+        const auto ra = b_ref.span(b);
+        const auto rb = b_vec.span(b);
+        for (std::size_t k = 0; k < ra.size(); ++k) {
+            EXPECT_EQ(bit_pattern(ra[k]), bit_pattern(rb[k]))
+                << "entry " << b << " row " << k;
+        }
+    }
+    for (size_type c = 0; c < g.chunks(); ++c) {
+        envelope_interleaved_chunk(g, c);
+        EXPECT_EQ(chunk_entries(c), static_cast<double>(m) * m);
+    }
+}
+
 TEST(InterleavedDispatch, DetectionIsAvailableAndNamed) {
     const auto isa = detect_simd_isa();
     EXPECT_TRUE(simd_isa_available(isa));

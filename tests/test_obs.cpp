@@ -611,7 +611,9 @@ const char* const canned_report_a = R"({
               "points": [[1000, 2.0], [2000, 4.0]]},
              {"name": "gone/only_in_a", "x_label": "n", "unit": "gflops",
               "points": [[1, 1.0]]}],
-  "counters": {}, "gauges": {}, "kernel_stats": {},
+  "counters": {},
+  "gauges": {"block_jacobi.apply_envelope_frac": 0.25},
+  "kernel_stats": {},
   "traffic": {"spmv": {"flops": 2.0e9, "bytes": 1.0e9, "seconds": 1.0,
                        "calls": 3, "problems": 0, "roof_gbs": 10.0,
                        "gflops": 2.0, "bandwidth_gbs": 1.0,
@@ -670,12 +672,15 @@ TEST(Prof, RenderReportShowsEverySection) {
     // Perf region table with IPC.
     EXPECT_NE(out.find("cg::spmv"), std::string::npos);
     EXPECT_NE(out.find("2.00"), std::string::npos);
+    // Envelope share of the block-Jacobi apply.
+    EXPECT_NE(out.find("envelope streams  25.0%"), std::string::npos);
 }
 
 TEST(Prof, RenderReportDisarmedPoolPointsAtEnvVar) {
     const auto doc = obs::parse_json(canned_report_b);
     const auto out = obs::prof::render_report(doc);
     EXPECT_NE(out.find("VBATCH_POOL_STATS"), std::string::npos);
+    EXPECT_EQ(out.find("envelope"), std::string::npos);
 }
 
 TEST(Prof, RenderDiffMatchesByNameAndFlagsOneSided) {

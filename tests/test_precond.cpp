@@ -2,15 +2,20 @@
 #include "base/exception.hpp"
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "blas/dense_matrix.hpp"
 #include "blas/lapack.hpp"
+#include "core/bytes.hpp"
+#include "obs/metrics.hpp"
 #include "precond/block_jacobi.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/scalar_jacobi.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/suite.hpp"
 
 namespace vbatch::precond {
 namespace {
@@ -265,6 +270,111 @@ TEST(BlockJacobi, DiagnosticsReportConditioning) {
     EXPECT_LE(d.geomean_condition, d.max_condition * 1.001);
     // The diagonal blocks of this well-posed stencil are benign.
     EXPECT_LT(d.max_condition, 1e4);
+}
+
+/// Reference apply: every block's full-bounds eager solve over
+/// prec.factors()/pivots(), wrapped in the butterfly vector transforms
+/// where the block took the RBT fast path.
+std::vector<double> dense_eager_apply(const BlockJacobi<double>& prec,
+                                      const std::vector<double>& r) {
+    const auto& layout = prec.layout();
+    const core::RbtTransforms<double> rbt(prec.options().rbt_seed,
+                                          prec.options().rbt_depth);
+    std::vector<double> z(r);
+    for (size_type b = 0; b < layout.count(); ++b) {
+        const auto st = prec.block_status()[static_cast<std::size_t>(b)];
+        EXPECT_TRUE(st == core::BlockStatus::ok ||
+                    st == core::BlockStatus::boosted)
+            << "block " << b << " is applied by the fallback";
+        const std::span<double> zb(
+            z.data() + layout.row_offset(b),
+            static_cast<std::size_t>(layout.size(b)));
+        if (prec.rbt_applied(b)) {
+            rbt.forward(b, zb);
+            core::getrs_single_nopivot(prec.factors().view(b), zb);
+            rbt.backward(b, zb);
+        } else {
+            core::getrs_single(prec.factors().view(b), prec.pivots().span(b),
+                               zb);
+        }
+    }
+    return z;
+}
+
+std::vector<double> envelope_rhs(index_type n) {
+    std::vector<double> r(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        r[i] = std::sin(0.37 * static_cast<double>(i)) + 1.25;
+    }
+    return r;
+}
+
+TEST(BlockJacobiEnvelope, D1StencilStreamsTheTridiagonalBand) {
+    // One dof per point of the 90 x 90 grid, blocks of 30 rows inside one
+    // grid line: every block is a tridiagonal run of the 5-point stencil,
+    // diagonally dominant, so its LU keeps exactly the band -- 3m - 2
+    // entries per block at every lane width.
+    const auto a = sparse::build_suite_matrix(
+        sparse::suite_case_by_name("lap2d_d1"));
+    ASSERT_EQ(a.num_rows(), 8100);
+    BlockJacobiOptions opts;
+    opts.layout = core::make_uniform_layout(270, 30);
+    const BlockJacobi<double> prec(a, opts);
+    double band = 0.0;
+    double dense = 0.0;
+    for (size_type b = 0; b < prec.layout().count(); ++b) {
+        const double m = prec.layout().size(b);
+        band += 3.0 * m - 2.0;
+        dense += m * m;
+    }
+    EXPECT_EQ(prec.apply_factor_entries(), band);
+    EXPECT_EQ(obs::Registry::global().gauges().at(
+                  "block_jacobi.apply_envelope_frac"),
+              band / dense);
+    // The traffic model charges the streamed band, not the dense blocks.
+    double bytes = 0.0;
+    for (size_type b = 0; b < prec.layout().count(); ++b) {
+        const index_type m = prec.layout().size(b);
+        bytes += core::getrs_envelope_bytes<double>(m, 3.0 * m - 2.0);
+    }
+    EXPECT_DOUBLE_EQ(prec.apply_bytes(), bytes);
+}
+
+TEST(BlockJacobiEnvelope, ApplyEqualsDenseEagerSolveBitwise) {
+    struct Case {
+        const char* name;
+        PivotScheme pivot;
+    };
+    const Case cases[] = {{"lap2d_d1", PivotScheme::implicit},
+                          {"convdiff_p10_d4", PivotScheme::implicit},
+                          {"circuit_sparse", PivotScheme::implicit},
+                          {"fem_d16_m", PivotScheme::implicit},
+                          {"convdiff_p10_d4", PivotScheme::rbt}};
+    for (const auto& c : cases) {
+        const auto a =
+            sparse::build_suite_matrix(sparse::suite_case_by_name(c.name));
+        const auto r = envelope_rhs(a.num_rows());
+        // One lane and the leg's ISA; serial and on the global pool.
+        for (const auto isa :
+             {core::SimdIsa::scalar, core::detect_simd_isa()}) {
+            for (const bool parallel : {false, true}) {
+                BlockJacobiOptions opts;
+                opts.simd = isa;
+                opts.pivot = c.pivot;
+                opts.parallel = parallel;
+                const BlockJacobi<double> prec(a, opts);
+                std::vector<double> z(r.size());
+                prec.apply(r, z);
+                const auto ref = dense_eager_apply(prec, r);
+                for (std::size_t i = 0; i < z.size(); ++i) {
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(z[i]),
+                              std::bit_cast<std::uint64_t>(ref[i]))
+                        << c.name << " " << prec.name() << " parallel "
+                        << parallel << " row " << i;
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,40 @@ TEST(Recovery, BitwiseScalarVsSimdWithBoostedBlocks) {
     for (std::size_t k = 0; k < r.size(); ++k) {
         EXPECT_EQ(z1[k], z2[k]) << "element " << k;
     }
+}
+
+TEST(Recovery, BoostedBlockAppliesBitwiseAfterRepack) {
+    // Grading rows by up to 1e-300 leaves pivots far below the implicit
+    // path's degeneracy tolerance, so the graded blocks are boosted and
+    // refactorized per block; their lane groups are repacked and their
+    // envelopes rescanned. The apply must still equal the full-bounds
+    // per-block solve of the final factors bit for bit.
+    auto a = sparse::laplacian_2d<double>(16, 16, 2, 1);
+    const auto layout = core::make_uniform_layout(64, 8);
+    ASSERT_EQ(blocking::make_blocks_illcond(a, *layout, 5, 1e-300), 5);
+    BlockJacobiOptions opts;
+    opts.layout = layout;
+    const BlockJacobi<double> prec(a, opts);
+    ASSERT_EQ(prec.recovery_summary().boosted, 5);
+
+    std::vector<double> r(static_cast<std::size_t>(a.num_rows()));
+    for (std::size_t k = 0; k < r.size(); ++k) {
+        r[k] = 1.0 + 0.25 * static_cast<double>(k % 7);
+    }
+    std::vector<double> z(r.size(), 0.0);
+    prec.apply(std::span<const double>(r), std::span<double>(z));
+    std::vector<double> ref(r);
+    for (size_type b = 0; b < layout->count(); ++b) {
+        core::getrs_single(prec.factors().view(b), prec.pivots().span(b),
+                           std::span<double>(ref.data() + b * 8, 8));
+    }
+    for (std::size_t k = 0; k < r.size(); ++k) {
+        EXPECT_EQ(std::memcmp(&z[k], &ref[k], sizeof(double)), 0)
+            << "element " << k;
+    }
+    // The repacked groups stream their rescanned envelopes, not full
+    // bounds: the 2-dof stencil blocks are banded.
+    EXPECT_LT(prec.apply_factor_entries(), 64.0 * 8 * 8);
 }
 
 TEST(Recovery, PreconditionerDegradedSolveStatus) {

@@ -227,6 +227,64 @@ TEST(Refresh, SimdMatchesScalarAfterRefresh) {
     EXPECT_EQ(z1, z2);
 }
 
+TEST(Refresh, EnvelopeShrinksAndRegrowsWithExactZeros) {
+    // 1-dof 30 x 30 Poisson grid in blocks of 10 rows inside one grid
+    // line: every block is tridiagonal and its LU keeps exactly the band
+    // (3m - 2 entries per block, at every lane width).
+    const auto a = sparse::laplacian_2d<double>(30, 30);
+    BlockJacobiOptions opts;
+    opts.layout = core::make_uniform_layout(90, 10);
+    BlockJacobi<double> prec(a, opts);
+    const double band = 90.0 * (3 * 10 - 2);
+    ASSERT_EQ(prec.apply_factor_entries(), band);
+
+    // Make the coupling of rows 0 and 1 of every block an exact zero:
+    // L(1, 0) and U(0, 1) vanish in every lane, so each block's envelope
+    // loses those two entries.
+    auto b = a;
+    std::vector<double> v(a.values().begin(), a.values().end());
+    const auto rp = a.row_ptrs();
+    const auto ci = a.col_idxs();
+    for (index_type i = 0; i < a.num_rows(); ++i) {
+        for (auto p = rp[static_cast<std::size_t>(i)];
+             p < rp[static_cast<std::size_t>(i) + 1]; ++p) {
+            const auto j = ci[static_cast<std::size_t>(p)];
+            if ((i % 10 == 0 && j == i + 1) || (i % 10 == 1 && j == i - 1)) {
+                v[static_cast<std::size_t>(p)] = 0.0;
+            }
+        }
+    }
+    b.set_values(std::span<const double>(v));
+
+    std::vector<double> r(static_cast<std::size_t>(a.num_rows()));
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        r[i] = 1.0 + std::cos(0.7 * static_cast<double>(i));
+    }
+    const auto expect_same_apply = [&](const BlockJacobi<double>& got,
+                                       const BlockJacobi<double>& want) {
+        EXPECT_EQ(got.apply_factor_entries(), want.apply_factor_entries());
+        EXPECT_EQ(got.apply_bytes(), want.apply_bytes());
+        std::vector<double> z1(r.size()), z2(r.size());
+        got.apply(r, z1);
+        want.apply(r, z2);
+        EXPECT_EQ(std::memcmp(z1.data(), z2.data(),
+                              z1.size() * sizeof(double)),
+                  0);
+    };
+
+    prec.refresh(b);
+    EXPECT_EQ(prec.apply_factor_entries(), band - 90.0 * 2);
+    const BlockJacobi<double> fresh_b(b, opts);
+    expect_same_factors(prec, fresh_b);
+    expect_same_apply(prec, fresh_b);
+
+    prec.refresh(a);
+    EXPECT_EQ(prec.apply_factor_entries(), band);
+    const BlockJacobi<double> fresh_a(a, opts);
+    expect_same_factors(prec, fresh_a);
+    expect_same_apply(prec, fresh_a);
+}
+
 TEST(Refresh, FloatBackendBitwise) {
     const auto a = sparse::fem_block_matrix<float>(30, 3, 9, 5.0, 21);
     BlockJacobiOptions opts;
