@@ -89,7 +89,7 @@ int main() {
     const vb::index_type block_bound = 32;
 
     // Arm the pool telemetry so the report's "pool" object carries real
-    // utilization/imbalance numbers for the parallel setup passes.
+    // utilization/steal numbers for the parallel setup passes.
     vb::ThreadPool::set_stats_enabled(true);
 
     std::printf("Block-Jacobi setup pipeline on the Fig. 9 suite "

@@ -74,7 +74,7 @@ int main() {
     const int reps = quick ? 10 : 30;
 
     // Arm the pool telemetry so the report's "pool" object carries real
-    // utilization/imbalance numbers for this run.
+    // utilization/steal numbers for this run.
     vb::ThreadPool::set_stats_enabled(true);
 
     std::printf("Solver hot-path speedups on a skewed-nnz circuit-like "
