@@ -11,14 +11,12 @@
 //     --block-size <1..32>    supervariable bound       (default 32)
 //     --rcm                   reverse Cuthill-McKee pre-ordering
 //     --recovery strict|boost|full   breakdown policy   (default full)
-//     --pivot implicit|rbt    pivoting scheme of the lu/lu-simd backends
-//                             (rbt = butterfly-transformed pivot-free
-//                             fast path)                 (default implicit)
 //     --inject-singular <n>   zero n diagonal blocks before the setup
 //                             (exercises the recovery pipeline)
 //     --inject-illcond <n>    grade n diagonal blocks near-singular (but
-//                             nonsingular; exercises the RBT degeneracy
-//                             monitor + pivoted fallback)
+//                             nonsingular; exercises the implicit
+//                             pivoting and the degeneracy scan of the
+//                             recovery pipeline)
 //     --tol <rel. residual>   stopping tolerance        (default 1e-6)
 //     --max-iters <n>         iteration budget          (default 10000)
 //     --idr-s <s>             IDR shadow dimension      (default 4)
@@ -53,7 +51,6 @@ struct Options {
     std::string recovery = "full";
     vb::index_type block_size = 32;
     bool rcm = false;
-    std::string pivot = "implicit";
     vb::size_type inject_singular = 0;
     vb::size_type inject_illcond = 0;
     double tol = 1e-6;
@@ -77,7 +74,7 @@ struct Options {
     std::printf(
         "usage: %s [--matrix f.mtx | --suite case] [--solver %s] "
         "[--precond %s] [--block-size n] [--rcm] "
-        "[--recovery strict|boost|full] [--pivot implicit|rbt] "
+        "[--recovery strict|boost|full] "
         "[--inject-singular n] [--inject-illcond n] [--tol t] "
         "[--max-iters n] [--idr-s s]\n",
         argv0, solvers.c_str(), backends.c_str());
@@ -108,8 +105,6 @@ Options parse(int argc, char** argv) {
             o.rcm = true;
         } else if (arg == "--recovery") {
             o.recovery = next();
-        } else if (arg == "--pivot") {
-            o.pivot = next();
         } else if (arg == "--inject-singular") {
             o.inject_singular =
                 static_cast<vb::size_type>(std::atoi(next()));
@@ -184,11 +179,6 @@ int main(int argc, char** argv) {
         config.backend = opts.precond;
         config.max_block_size = opts.block_size;
         config.recovery = recovery_policy(opts, argv[0]);
-        if (opts.pivot == "rbt") {
-            config.pivot = vb::precond::PivotScheme::rbt;
-        } else if (opts.pivot != "implicit") {
-            usage(argv[0]);
-        }
 
         vb::size_type injected = 0;
         vb::size_type injected_ill = 0;
@@ -256,7 +246,6 @@ int main(int argc, char** argv) {
         report.config("solver", opts.solver);
         report.config("precond", opts.precond);
         report.config("recovery", opts.recovery);
-        report.config("pivot", opts.pivot);
         report.config("n", a.num_rows());
         report.config("block_size", opts.block_size);
         report.config("injected_singular", injected);

@@ -62,13 +62,11 @@ size_type make_blocks_singular(sparse::Csr<T>& a,
 /// *ill-conditioned but nonsingular* by grading their rows -- row i of a
 /// selected block is scaled by grade^(i/(m-1)), so the block's condition
 /// number approaches 1/grade while every pivot stays exactly nonzero.
-/// With the default grade (1e-30 in double) the graded pivots sit above
-/// the implicit path's eps^2 degeneracy tolerance but below the RBT
-/// path's eps tolerance: the pivoted setup keeps the blocks, the
-/// pivot-free fast path must detect them and fall back -- the robustness
-/// ablation of the butterfly monitor. Values only; the pattern (and any
-/// layout derived from it) stays intact. Returns the number of blocks
-/// graded.
+/// With the default grade (1e-30 in double) the graded pivots sit just
+/// above the recovery pipeline's eps^2 degeneracy tolerance: the
+/// implicit pivoting must keep the blocks usable, and the degeneracy
+/// scan must not flag them. Values only; the pattern (and any layout
+/// derived from it) stays intact. Returns the number of blocks graded.
 template <typename T>
 size_type make_blocks_illcond(sparse::Csr<T>& a,
                               const core::BatchLayout& layout,

@@ -66,24 +66,6 @@ double getrs_bytes_interleaved(index_type m, index_type padded_m) {
     return getrs_bytes<T>(padded_m >= m ? padded_m : m);
 }
 
-/// Bytes of one two-sided depth-d butterfly transform A := U^T A V: each
-/// level reads + writes the whole matrix twice (column pass, row pass)
-/// and reads the m-entry U and V coefficient rows of that level.
-template <typename T>
-double rbt_transform_bytes(index_type m, index_type depth) {
-    const double d = m;
-    return static_cast<double>(depth) * (4.0 * d * d + 2.0 * d) *
-           static_cast<double>(sizeof(T));
-}
-
-/// Bytes of one butterfly vector transform (U^T b or V y): per level the
-/// vector is read + written and the coefficient row is read.
-template <typename T>
-double rbt_vector_bytes(index_type m, index_type depth) {
-    return static_cast<double>(depth) * 3.0 * static_cast<double>(m) *
-           static_cast<double>(sizeof(T));
-}
-
 /// Bytes of one dense m x m matrix-vector product: matrix m^2 plus the
 /// input and output vectors.
 template <typename T>

@@ -23,8 +23,6 @@
 #include <limits>
 
 #include "base/types.hpp"
-#include "core/pivot_policy.hpp"
-#include "core/rbt_scheme.hpp"
 #include "simd/simd.hpp"
 
 namespace vbatch::core {
@@ -39,16 +37,7 @@ namespace vbatch::core {
 /// getrf_implicit). perm is written as a gather permutation, factors are
 /// written back row-permuted; info[l] = 0 or the 1-based breakdown step,
 /// and a broken lane's state matches the scalar kernel's early return.
-///
-/// The PivotPolicy::none instantiation (the vector twin of getrf_nopivot)
-/// takes row k as the pivot of step k: the pivot scan, the per-row pivot
-/// state, the compare/select mask lattice, the pivot-row `gather_rows`
-/// reads, and the final writeback gather all disappear -- the pivot row
-/// read becomes one contiguous vector load. perm is written as the
-/// identity; lanes with an exact-zero diagonal freeze exactly like the
-/// scalar getrf_nopivot early return.
-template <typename T, typename Backend,
-          PivotPolicy P = PivotPolicy::implicit>
+template <typename T, typename Backend>
 void getrf_chunk(T* a, index_type* perm, index_type* info,
                  const index_type m, const size_type stride) {
     using V = simd::Simd<T, Backend>;
@@ -57,78 +46,6 @@ void getrf_chunk(T* a, index_type* perm, index_type* info,
     if (m == 0) {
         for (index_type l = 0; l < w; ++l) {
             info[l] = 0;
-        }
-        return;
-    }
-
-    if constexpr (P == PivotPolicy::none) {
-        const V zero = V::zero();
-        M active = M::all_lanes();
-        V infov = zero;
-        for (index_type k = 0; k < m; ++k) {
-            T* colk = a + static_cast<size_type>(k) * m * stride;
-            const V diag = V::load(colk + static_cast<size_type>(k) * stride);
-
-            // Exact-zero diagonal: freeze the lane (its data stops
-            // changing, mirroring the scalar early return).
-            const M broke = active & (diag == zero);
-            if (broke.any()) {
-                infov = V::select(broke, V::broadcast(static_cast<T>(k + 1)),
-                                  infov);
-                active = andnot(active, broke);
-                if (!active.any()) {
-                    break;
-                }
-            }
-
-            // SCAL below the diagonal (frozen lanes divide by 1 harmlessly).
-            const V d = V::select(active, diag, V::broadcast(T{1}));
-            for (index_type i = k + 1; i < m; ++i) {
-                T* elem = colk + static_cast<size_type>(i) * stride;
-                const V x = V::load(elem);
-                V::select(active, x / d, x).store(elem);
-            }
-
-            // GER on the trailing submatrix; the pivot-row element a(k, j)
-            // is a contiguous load. Frozen lanes subtract a zeroed product
-            // (x - (+0) == x bitwise). Column pairs share the row loads.
-            index_type j = k + 1;
-            for (; j + 1 < m; j += 2) {
-                T* colj0 = a + static_cast<size_type>(j) * m * stride;
-                T* colj1 = colj0 + static_cast<size_type>(m) * stride;
-                const V akj0 =
-                    V::load(colj0 + static_cast<size_type>(k) * stride);
-                const V akj1 =
-                    V::load(colj1 + static_cast<size_type>(k) * stride);
-                for (index_type i = k + 1; i < m; ++i) {
-                    const V colk_i =
-                        V::load(colk + static_cast<size_type>(i) * stride);
-                    T* e0 = colj0 + static_cast<size_type>(i) * stride;
-                    T* e1 = colj1 + static_cast<size_type>(i) * stride;
-                    (V::load(e0) - V::keep(colk_i * akj0, active)).store(e0);
-                    (V::load(e1) - V::keep(colk_i * akj1, active)).store(e1);
-                }
-            }
-            for (; j < m; ++j) {
-                T* colj = a + static_cast<size_type>(j) * m * stride;
-                const V akj =
-                    V::load(colj + static_cast<size_type>(k) * stride);
-                for (index_type i = k + 1; i < m; ++i) {
-                    const V colk_i =
-                        V::load(colk + static_cast<size_type>(i) * stride);
-                    T* elem = colj + static_cast<size_type>(i) * stride;
-                    (V::load(elem) - V::keep(colk_i * akj, active))
-                        .store(elem);
-                }
-            }
-        }
-        alignas(64) T infow[w];
-        infov.store(infow);
-        for (index_type l = 0; l < w; ++l) {
-            info[l] = static_cast<index_type>(infow[l]);
-            for (index_type k = 0; k < m; ++k) {
-                perm[static_cast<size_type>(k) * stride + l] = k;
-            }
         }
         return;
     }
@@ -306,10 +223,8 @@ void getrf_chunk(T* a, index_type* perm, index_type* info,
 /// of column k run over rows k+1..env[k] of L and env[m+k]..k-1 of U
 /// only. The rows outside hold exact zeros in every lane, and skipping
 /// b_i -= 0 * b_k leaves every finite b_i bitwise unchanged (up to the
-/// sign of a zero b_i). The PivotPolicy::none instantiation skips the
-/// permutation gather entirely (perm may be null).
-template <typename T, typename Backend,
-          PivotPolicy P = PivotPolicy::implicit>
+/// sign of a zero b_i).
+template <typename T, typename Backend>
 void getrs_chunk(const T* a, const index_type* perm, const index_type* env,
                  T* b, const index_type m, const size_type stride) {
     using V = simd::Simd<T, Backend>;
@@ -318,21 +233,16 @@ void getrs_chunk(const T* a, const index_type* perm, const index_type* env,
         return;
     }
 
-    if constexpr (P == PivotPolicy::implicit) {
-        // b := P b, the gather fused into the load as in the paper's
-        // kernel.
-        alignas(64) T tmp[static_cast<std::size_t>(max_block_size) * w];
-        for (index_type k = 0; k < m; ++k) {
-            V::gather_rows_i(b, perm + static_cast<size_type>(k) * stride,
-                             stride)
-                .store(tmp + static_cast<std::size_t>(k) * w);
-        }
-        for (index_type k = 0; k < m; ++k) {
-            V::load(tmp + static_cast<std::size_t>(k) * w)
-                .store(b + static_cast<size_type>(k) * stride);
-        }
-    } else {
-        (void)perm;
+    // b := P b, the gather fused into the load as in the paper's kernel.
+    alignas(64) T tmp[static_cast<std::size_t>(max_block_size) * w];
+    for (index_type k = 0; k < m; ++k) {
+        V::gather_rows_i(b, perm + static_cast<size_type>(k) * stride,
+                         stride)
+            .store(tmp + static_cast<std::size_t>(k) * w);
+    }
+    for (index_type k = 0; k < m; ++k) {
+        V::load(tmp + static_cast<std::size_t>(k) * w)
+            .store(b + static_cast<size_type>(k) * stride);
     }
 
     // Eager (AXPY-based) unit lower triangular solve.
@@ -409,9 +319,8 @@ void pack_entry_stats_chunk(const T* vals, const size_type n, T* max_entry,
 }
 
 /// Per-lane min/max |u_kk| over the U diagonal of a factorized chunk (the
-/// post-factorize pivot monitor scan; with implicit pivoting the gathered
-/// writeback leaves the selected pivots on the diagonal, without pivoting
-/// the diagonal *is* the pivot sequence). Non-finite diagonal entries are
+/// post-factorize pivot monitor scan; the gathered writeback leaves the
+/// selected pivots on the diagonal). Non-finite diagonal entries are
 /// excluded from min/max and flagged in `nonfinite_bits`; min_piv/max_piv
 /// receive width values each.
 template <typename T, typename Backend>
@@ -466,164 +375,6 @@ void envelope_scan_chunk(const T* lu, const index_type m,
         }
         env[k] = last;
         env[m + k] = first;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Recursive butterfly transform kernels (core/rbt_scheme.hpp): each lane
-// carries its own coefficients, so the tables are lane-interleaved like
-// the values -- coef[(t*m + i)*stride + lane] is position i of level t.
-// Padding lanes hold coefficient 1 everywhere (their identity matrices
-// become W^T W, which is SPD, so the no-pivot kernel never breaks down
-// on them). Pair op order is part of the bitwise scalar==SIMD contract
-// (core/rbt.cpp mirrors it element for element):
-//   B^T: t0 = x0 + x1; t1 = x0 - x1; y0 = r*t0; y1 = s*t1
-//   B  : p0 = r*x0;    p1 = s*x1;    y0 = p0 + p1; y1 = p0 - p1
-// ---------------------------------------------------------------------
-
-namespace rbt_detail {
-
-/// Apply B^T of one level to `m` interleaved elements at elem(i) =
-/// base + i*estride, with level coefficients at coef + i*cstride.
-template <typename T, typename Backend>
-void butterfly_bt_level(T* base, const T* coef, const index_type m,
-                        const index_type level, const size_type estride,
-                        const size_type cstride) {
-    using V = simd::Simd<T, Backend>;
-    rbt::for_each_segment(m, level, [&](index_type lo, index_type len) {
-        const index_type p = (len + 1) / 2;
-        const index_type q = len - p;
-        for (index_type i = 0; i < q; ++i) {
-            const V r = V::load(coef + static_cast<size_type>(lo + i) *
-                                           cstride);
-            const V s = V::load(coef + static_cast<size_type>(lo + p + i) *
-                                           cstride);
-            T* e0 = base + static_cast<size_type>(lo + i) * estride;
-            T* e1 = base + static_cast<size_type>(lo + p + i) * estride;
-            const V v0 = V::load(e0);
-            const V v1 = V::load(e1);
-            const V t0 = v0 + v1;
-            const V t1 = v0 - v1;
-            (r * t0).store(e0);
-            (s * t1).store(e1);
-        }
-        if (p > q) {
-            const V u = V::load(coef + static_cast<size_type>(lo + q) *
-                                           cstride);
-            T* e = base + static_cast<size_type>(lo + q) * estride;
-            (u * V::load(e)).store(e);
-        }
-    });
-}
-
-/// Apply B of one level (same addressing as butterfly_bt_level).
-template <typename T, typename Backend>
-void butterfly_b_level(T* base, const T* coef, const index_type m,
-                       const index_type level, const size_type estride,
-                       const size_type cstride) {
-    using V = simd::Simd<T, Backend>;
-    rbt::for_each_segment(m, level, [&](index_type lo, index_type len) {
-        const index_type p = (len + 1) / 2;
-        const index_type q = len - p;
-        for (index_type i = 0; i < q; ++i) {
-            const V r = V::load(coef + static_cast<size_type>(lo + i) *
-                                           cstride);
-            const V s = V::load(coef + static_cast<size_type>(lo + p + i) *
-                                           cstride);
-            T* e0 = base + static_cast<size_type>(lo + i) * estride;
-            T* e1 = base + static_cast<size_type>(lo + p + i) * estride;
-            const V p0 = r * V::load(e0);
-            const V p1 = s * V::load(e1);
-            (p0 + p1).store(e0);
-            (p0 - p1).store(e1);
-        }
-        if (p > q) {
-            const V u = V::load(coef + static_cast<size_type>(lo + q) *
-                                           cstride);
-            T* e = base + static_cast<size_type>(lo + q) * estride;
-            (u * V::load(e)).store(e);
-        }
-    });
-}
-
-}  // namespace rbt_detail
-
-/// Two-sided transform A := U^T A V of one lane chunk. ucoef/vcoef point
-/// at the chunk's level tables (depth levels of m interleaved
-/// coefficients each). Columns first (U^T A: B^T on row pairs within each
-/// column, levels outer->inner), then rows (A V = (V^T A^T)^T: B^T on
-/// column pairs, same level order) -- the scalar driver fixes the same
-/// order.
-template <typename T, typename Backend>
-void rbt_transform_chunk(T* a, const T* ucoef, const T* vcoef,
-                         const index_type m, const index_type depth,
-                         const size_type stride) {
-    for (index_type c = 0; c < m; ++c) {
-        T* col = a + static_cast<size_type>(c) * m * stride;
-        for (index_type t = 0; t < depth; ++t) {
-            rbt_detail::butterfly_bt_level<T, Backend>(
-                col, ucoef + static_cast<size_type>(t) * m * stride, m, t,
-                stride, stride);
-        }
-    }
-    using V = simd::Simd<T, Backend>;
-    for (index_type t = 0; t < depth; ++t) {
-        const T* lc = vcoef + static_cast<size_type>(t) * m * stride;
-        rbt::for_each_segment(m, t, [&](index_type lo, index_type len) {
-            const index_type p = (len + 1) / 2;
-            const index_type q = len - p;
-            for (index_type i = 0; i < q; ++i) {
-                const V r = V::load(lc + static_cast<size_type>(lo + i) *
-                                             stride);
-                const V s = V::load(lc + static_cast<size_type>(lo + p + i) *
-                                             stride);
-                T* c0 = a + static_cast<size_type>(lo + i) * m * stride;
-                T* c1 = a + static_cast<size_type>(lo + p + i) * m * stride;
-                for (index_type rr = 0; rr < m; ++rr) {
-                    T* e0 = c0 + static_cast<size_type>(rr) * stride;
-                    T* e1 = c1 + static_cast<size_type>(rr) * stride;
-                    const V v0 = V::load(e0);
-                    const V v1 = V::load(e1);
-                    const V t0 = v0 + v1;
-                    const V t1 = v0 - v1;
-                    (r * t0).store(e0);
-                    (s * t1).store(e1);
-                }
-            }
-            if (p > q) {
-                const V u = V::load(lc + static_cast<size_type>(lo + q) *
-                                             stride);
-                T* cc = a + static_cast<size_type>(lo + q) * m * stride;
-                for (index_type rr = 0; rr < m; ++rr) {
-                    T* e = cc + static_cast<size_type>(rr) * stride;
-                    (u * V::load(e)).store(e);
-                }
-            }
-        });
-    }
-}
-
-/// Forward vector transform b := U^T b of one lane chunk (applied to the
-/// right-hand side before the pivot-free triangular solves).
-template <typename T, typename Backend>
-void rbt_forward_chunk(T* b, const T* ucoef, const index_type m,
-                       const index_type depth, const size_type stride) {
-    for (index_type t = 0; t < depth; ++t) {
-        rbt_detail::butterfly_bt_level<T, Backend>(
-            b, ucoef + static_cast<size_type>(t) * m * stride, m, t, stride,
-            stride);
-    }
-}
-
-/// Backward vector transform x := V y of one lane chunk (recovers the
-/// solution of the untransformed system; levels inner->outer).
-template <typename T, typename Backend>
-void rbt_backward_chunk(T* x, const T* vcoef, const index_type m,
-                        const index_type depth, const size_type stride) {
-    for (index_type t = depth - 1; t >= 0; --t) {
-        rbt_detail::butterfly_b_level<T, Backend>(
-            x, vcoef + static_cast<size_type>(t) * m * stride, m, t, stride,
-            stride);
     }
 }
 

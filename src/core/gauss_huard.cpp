@@ -54,7 +54,7 @@ void complete_column_permutation(std::span<index_type> cperm,
 }
 
 /// Kernel body shared by the plain and monitored entry points (the
-/// monitor hooks compile away for NoPivotMonitor).
+/// monitor hooks compile away for NullMonitor).
 template <typename T, typename Monitor>
 index_type gauss_huard_factorize_impl(MatrixView<T> a,
                                       std::span<index_type> cperm,
@@ -139,7 +139,7 @@ template <typename T>
 index_type gauss_huard_factorize(MatrixView<T> a,
                                  std::span<index_type> cperm,
                                  GhStorage storage) {
-    detail::NoPivotMonitor mon;
+    detail::NullMonitor mon;
     return gauss_huard_factorize_impl(a, cperm, storage, mon);
 }
 

@@ -11,7 +11,7 @@ namespace vbatch::core {
 namespace {
 
 /// Kernel body shared by the plain and monitored entry points (the
-/// monitor hooks compile away for NoPivotMonitor).
+/// monitor hooks compile away for NullMonitor).
 template <typename T, typename Monitor>
 index_type gauss_jordan_invert_impl(MatrixView<T> a, Monitor& mon) {
     VBATCH_ENSURE_DIMS(a.rows() == a.cols());
@@ -98,7 +98,7 @@ index_type gauss_jordan_invert_impl(MatrixView<T> a, Monitor& mon) {
 
 template <typename T>
 index_type gauss_jordan_invert(MatrixView<T> a) {
-    detail::NoPivotMonitor mon;
+    detail::NullMonitor mon;
     return gauss_jordan_invert_impl(a, mon);
 }
 

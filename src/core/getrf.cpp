@@ -46,7 +46,7 @@ void complete_permutation(std::span<index_type> perm,
 }
 
 /// Kernel body shared by the plain and monitored entry points. The
-/// monitor hooks vanish for NoPivotMonitor, so the default
+/// monitor hooks vanish for NullMonitor, so the default
 /// instantiation compiles to exactly the pre-monitor kernel.
 template <typename T, typename Monitor>
 index_type getrf_implicit_impl(MatrixView<T> a, std::span<index_type> perm,
@@ -115,47 +115,11 @@ index_type getrf_implicit_impl(MatrixView<T> a, std::span<index_type> perm,
     return 0;
 }
 
-/// Pivot-free kernel body (the scalar twin of the PivotPolicy::none chunk
-/// kernel: same per-element op order, so the lanes match it bitwise).
-template <typename T, typename Monitor>
-index_type getrf_nopivot_impl(MatrixView<T> a, Monitor& mon) {
-    VBATCH_ENSURE_DIMS(a.rows() == a.cols());
-    const index_type m = a.rows();
-    if constexpr (Monitor::enabled) {
-        for (index_type j = 0; j < m; ++j) {
-            for (index_type i = 0; i < m; ++i) {
-                mon.entry(static_cast<double>(std::abs(a(i, j))));
-            }
-        }
-    }
-    for (index_type k = 0; k < m; ++k) {
-        const T d = a(k, k);
-        if (d == T{}) {
-            return k + 1;
-        }
-        if constexpr (Monitor::enabled) {
-            mon.pivot(static_cast<double>(std::abs(d)));
-        }
-        T* colk = a.col(k);
-        for (index_type i = k + 1; i < m; ++i) {
-            colk[i] /= d;  // SCAL
-        }
-        for (index_type j = k + 1; j < m; ++j) {
-            const T akj = a(k, j);
-            T* colj = a.col(j);
-            for (index_type i = k + 1; i < m; ++i) {
-                colj[i] -= colk[i] * akj;  // GER
-            }
-        }
-    }
-    return 0;
-}
-
 }  // namespace
 
 template <typename T>
 index_type getrf_implicit(MatrixView<T> a, std::span<index_type> perm) {
-    detail::NoPivotMonitor mon;
+    detail::NullMonitor mon;
     return getrf_implicit_impl(a, perm, mon);
 }
 
@@ -164,20 +128,6 @@ index_type getrf_implicit(MatrixView<T> a, std::span<index_type> perm,
                           FactorInfo& info) {
     detail::PivotMonitor mon;
     const index_type step = getrf_implicit_impl(a, perm, mon);
-    info = mon.finish(step);
-    return step;
-}
-
-template <typename T>
-index_type getrf_nopivot(MatrixView<T> a) {
-    detail::NoPivotMonitor mon;
-    return getrf_nopivot_impl(a, mon);
-}
-
-template <typename T>
-index_type getrf_nopivot(MatrixView<T> a, FactorInfo& info) {
-    detail::PivotMonitor mon;
-    const index_type step = getrf_nopivot_impl(a, mon);
     info = mon.finish(step);
     return step;
 }
@@ -273,8 +223,6 @@ FactorizeStatus getrf_batch_explicit(BatchedMatrices<T>& a,
                                           FactorInfo&);                      \
     template index_type getrf_explicit<T>(MatrixView<T>,                     \
                                           std::span<index_type>);            \
-    template index_type getrf_nopivot<T>(MatrixView<T>);                     \
-    template index_type getrf_nopivot<T>(MatrixView<T>, FactorInfo&);        \
     template FactorizeStatus getrf_batch<T>(BatchedMatrices<T>&,             \
                                             BatchedPivots&,                  \
                                             const GetrfOptions&);            \

@@ -84,19 +84,4 @@ index_type getrf_implicit(MatrixView<T> a, std::span<index_type> perm,
 template <typename T>
 index_type getrf_explicit(MatrixView<T> a, std::span<index_type> perm);
 
-/// Single-problem LU *without* pivoting: row k is the pivot of step k, so
-/// the pivot scan, the pivot state, and the writeback gather all vanish.
-/// Intended for blocks preprocessed with a random butterfly transform
-/// (core/rbt.hpp), which makes pivoting statistically unnecessary; an
-/// exact-zero diagonal entry still returns the 1-based breakdown step.
-/// Bitwise identical to the PivotPolicy::none chunk kernels.
-template <typename T>
-index_type getrf_nopivot(MatrixView<T> a);
-
-/// Monitored variant: identical arithmetic; the recorded min/max pivots
-/// are the diagonal magnitudes |u_kk| (without pivoting the diagonal *is*
-/// the pivot sequence).
-template <typename T>
-index_type getrf_nopivot(MatrixView<T> a, FactorInfo& info);
-
 }  // namespace vbatch::core

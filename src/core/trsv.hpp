@@ -76,11 +76,4 @@ void getrs_single(ConstMatrixView<T> lu, std::span<const index_type> perm,
                   std::span<T> b, TrsvVariant variant = TrsvVariant::eager,
                   std::span<const index_type> env = {});
 
-/// Solve with pivot-free factors (getrf_nopivot / PivotPolicy::none):
-/// lower + upper only, no permutation gather.
-template <typename T>
-void getrs_single_nopivot(ConstMatrixView<T> lu, std::span<T> b,
-                          TrsvVariant variant = TrsvVariant::eager,
-                          std::span<const index_type> env = {});
-
 }  // namespace vbatch::core

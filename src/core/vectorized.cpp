@@ -20,28 +20,8 @@ namespace {
 constexpr size_type max_simd_lanes = 16;
 
 template <typename T>
-void run_getrf_chunk(SimdIsa isa, PivotPolicy pivot, T* a, index_type* perm,
+void run_getrf_chunk(SimdIsa isa, T* a, index_type* perm,
                      index_type* info, index_type m, size_type stride) {
-    if (pivot == PivotPolicy::none) {
-        switch (isa) {
-        case SimdIsa::scalar:
-            getrf_nopivot_chunk_scalar(a, perm, info, m, stride);
-            break;
-        case SimdIsa::sse2:
-            getrf_nopivot_chunk_sse2(a, perm, info, m, stride);
-            break;
-        case SimdIsa::avx2:
-            getrf_nopivot_chunk_avx2(a, perm, info, m, stride);
-            break;
-        case SimdIsa::avx512:
-            getrf_nopivot_chunk_avx512(a, perm, info, m, stride);
-            break;
-        case SimdIsa::neon:
-            getrf_nopivot_chunk_neon(a, perm, info, m, stride);
-            break;
-        }
-        return;
-    }
     switch (isa) {
     case SimdIsa::scalar:
         getrf_chunk_scalar(a, perm, info, m, stride);
@@ -62,29 +42,9 @@ void run_getrf_chunk(SimdIsa isa, PivotPolicy pivot, T* a, index_type* perm,
 }
 
 template <typename T>
-void run_getrs_chunk(SimdIsa isa, PivotPolicy pivot, const T* lu,
-                     const index_type* perm, const index_type* env, T* b,
-                     index_type m, size_type stride) {
-    if (pivot == PivotPolicy::none) {
-        switch (isa) {
-        case SimdIsa::scalar:
-            getrs_nopivot_chunk_scalar(lu, env, b, m, stride);
-            break;
-        case SimdIsa::sse2:
-            getrs_nopivot_chunk_sse2(lu, env, b, m, stride);
-            break;
-        case SimdIsa::avx2:
-            getrs_nopivot_chunk_avx2(lu, env, b, m, stride);
-            break;
-        case SimdIsa::avx512:
-            getrs_nopivot_chunk_avx512(lu, env, b, m, stride);
-            break;
-        case SimdIsa::neon:
-            getrs_nopivot_chunk_neon(lu, env, b, m, stride);
-            break;
-        }
-        return;
-    }
+void run_getrs_chunk(SimdIsa isa, const T* lu, const index_type* perm,
+                     const index_type* env, T* b, index_type m,
+                     size_type stride) {
     switch (isa) {
     case SimdIsa::scalar:
         getrs_chunk_scalar(lu, perm, env, b, m, stride);
@@ -187,73 +147,6 @@ void run_envelope_scan_chunk(SimdIsa isa, const T* lu, index_type m,
     }
 }
 
-template <typename T>
-void run_rbt_transform_chunk(SimdIsa isa, T* a, const T* ucoef,
-                             const T* vcoef, index_type m, index_type depth,
-                             size_type stride) {
-    switch (isa) {
-    case SimdIsa::scalar:
-        rbt_transform_chunk_scalar(a, ucoef, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::sse2:
-        rbt_transform_chunk_sse2(a, ucoef, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::avx2:
-        rbt_transform_chunk_avx2(a, ucoef, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::avx512:
-        rbt_transform_chunk_avx512(a, ucoef, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::neon:
-        rbt_transform_chunk_neon(a, ucoef, vcoef, m, depth, stride);
-        break;
-    }
-}
-
-template <typename T>
-void run_rbt_forward_chunk(SimdIsa isa, T* b, const T* ucoef, index_type m,
-                           index_type depth, size_type stride) {
-    switch (isa) {
-    case SimdIsa::scalar:
-        rbt_forward_chunk_scalar(b, ucoef, m, depth, stride);
-        break;
-    case SimdIsa::sse2:
-        rbt_forward_chunk_sse2(b, ucoef, m, depth, stride);
-        break;
-    case SimdIsa::avx2:
-        rbt_forward_chunk_avx2(b, ucoef, m, depth, stride);
-        break;
-    case SimdIsa::avx512:
-        rbt_forward_chunk_avx512(b, ucoef, m, depth, stride);
-        break;
-    case SimdIsa::neon:
-        rbt_forward_chunk_neon(b, ucoef, m, depth, stride);
-        break;
-    }
-}
-
-template <typename T>
-void run_rbt_backward_chunk(SimdIsa isa, T* x, const T* vcoef, index_type m,
-                            index_type depth, size_type stride) {
-    switch (isa) {
-    case SimdIsa::scalar:
-        rbt_backward_chunk_scalar(x, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::sse2:
-        rbt_backward_chunk_sse2(x, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::avx2:
-        rbt_backward_chunk_avx2(x, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::avx512:
-        rbt_backward_chunk_avx512(x, vcoef, m, depth, stride);
-        break;
-    case SimdIsa::neon:
-        rbt_backward_chunk_neon(x, vcoef, m, depth, stride);
-        break;
-    }
-}
-
 void record_launch(const char* op, SimdIsa isa, size_type problems) {
     auto& registry = obs::Registry::global();
     const std::string prefix =
@@ -342,7 +235,7 @@ FactorizeStatus getrf_interleaved(InterleavedGroup<T>& g,
     }
 
     const auto body = [&](size_type c) {
-        getrf_interleaved_chunk(g, c, opts.pivot);
+        getrf_interleaved_chunk(g, c);
     };
     if (opts.parallel) {
         ThreadPool::global().parallel_for(0, g.chunks(), body, 1);
@@ -396,13 +289,12 @@ FactorizeStatus getrf_interleaved(InterleavedGroup<T>& g,
 }
 
 template <typename T>
-void getrf_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk,
-                             PivotPolicy pivot) {
+void getrf_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk) {
     // Chunk-local layout: chunk c owns m*m*lanes contiguous values and
     // m*lanes pivots; the in-chunk lane stride is the vector width.
     const auto m = static_cast<size_type>(g.size());
     const size_type lanes = g.lanes();
-    run_getrf_chunk(g.isa(), pivot, g.values() + chunk * m * m * lanes,
+    run_getrf_chunk(g.isa(), g.values() + chunk * m * m * lanes,
                     g.pivots() + chunk * m * lanes,
                     g.info() + chunk * lanes, g.size(), lanes);
     // Record the envelope while the chunk's factors are cache-hot.
@@ -423,41 +315,6 @@ void factor_envelope(ConstMatrixView<T> lu, std::span<index_type> env) {
     VBATCH_ENSURE_DIMS(lu.cols() == m && lu.ld() == m &&
                        static_cast<index_type>(env.size()) == 2 * m);
     run_envelope_scan_chunk(SimdIsa::scalar, lu.data(), m, 1, env.data());
-}
-
-template <typename T>
-void rbt_transform_interleaved_chunk(InterleavedGroup<T>& g, const T* ucoef,
-                                     const T* vcoef, index_type depth,
-                                     size_type chunk) {
-    const auto m = static_cast<size_type>(g.size());
-    const size_type lanes = g.lanes();
-    const size_type coff = chunk * static_cast<size_type>(depth) * m * lanes;
-    run_rbt_transform_chunk(g.isa(), g.values() + chunk * m * m * lanes,
-                            ucoef + coff, vcoef + coff, g.size(), depth,
-                            lanes);
-}
-
-template <typename T>
-void rbt_forward_interleaved_chunk(const InterleavedGroup<T>& g,
-                                   InterleavedVectors<T>& b, const T* ucoef,
-                                   index_type depth, size_type chunk) {
-    const auto m = static_cast<size_type>(g.size());
-    const size_type lanes = g.lanes();
-    const size_type coff = chunk * static_cast<size_type>(depth) * m * lanes;
-    run_rbt_forward_chunk(g.isa(), b.values() + chunk * m * lanes,
-                          ucoef + coff, g.size(), depth, lanes);
-}
-
-template <typename T>
-void rbt_backward_interleaved_chunk(const InterleavedGroup<T>& g,
-                                    InterleavedVectors<T>& b,
-                                    const T* vcoef, index_type depth,
-                                    size_type chunk) {
-    const auto m = static_cast<size_type>(g.size());
-    const size_type lanes = g.lanes();
-    const size_type coff = chunk * static_cast<size_type>(depth) * m * lanes;
-    run_rbt_backward_chunk(g.isa(), b.values() + chunk * m * lanes,
-                           vcoef + coff, g.size(), depth, lanes);
 }
 
 template <typename T>
@@ -549,11 +406,10 @@ void scan_interleaved_chunk(const InterleavedGroup<T>& g, size_type chunk,
 
 template <typename T>
 void getrs_interleaved_chunk(const InterleavedGroup<T>& g,
-                             InterleavedVectors<T>& b, size_type chunk,
-                             PivotPolicy pivot) {
+                             InterleavedVectors<T>& b, size_type chunk) {
     const auto m = static_cast<size_type>(g.size());
     const size_type lanes = g.lanes();
-    run_getrs_chunk(g.isa(), pivot, g.values() + chunk * m * m * lanes,
+    run_getrs_chunk(g.isa(), g.values() + chunk * m * m * lanes,
                     g.pivots() + chunk * m * lanes,
                     g.envelope() + chunk * 2 * m,
                     b.values() + chunk * m * lanes, g.size(), lanes);
@@ -569,7 +425,7 @@ void getrs_interleaved(const InterleavedGroup<T>& g,
     obs::TraceRegion trace("getrs_interleaved");
     record_launch("trsv", g.isa(), g.count());
     const auto body = [&](size_type c) {
-        getrs_interleaved_chunk(g, b, c, opts.pivot);
+        getrs_interleaved_chunk(g, b, c);
     };
     if (opts.parallel) {
         ThreadPool::global().parallel_for(0, g.chunks(), body, 1);
@@ -674,21 +530,13 @@ void getrs_batch_vectorized(const BatchedMatrices<T>& lu,
                                        const VectorizedOptions&);            \
     template void getrs_interleaved_chunk<T>(const InterleavedGroup<T>&,     \
                                              InterleavedVectors<T>&,         \
-                                             size_type, PivotPolicy);        \
+                                             size_type);                     \
     template void getrf_interleaved_chunk<T>(InterleavedGroup<T>&,           \
-                                             size_type, PivotPolicy);        \
+                                             size_type);                     \
     template void envelope_interleaved_chunk<T>(InterleavedGroup<T>&,        \
                                                 size_type);                  \
     template void factor_envelope<T>(ConstMatrixView<T>,                     \
                                      std::span<index_type>);                 \
-    template void rbt_transform_interleaved_chunk<T>(                        \
-        InterleavedGroup<T>&, const T*, const T*, index_type, size_type);    \
-    template void rbt_forward_interleaved_chunk<T>(                          \
-        const InterleavedGroup<T>&, InterleavedVectors<T>&, const T*,        \
-        index_type, size_type);                                              \
-    template void rbt_backward_interleaved_chunk<T>(                         \
-        const InterleavedGroup<T>&, InterleavedVectors<T>&, const T*,        \
-        index_type, size_type);                                              \
     template void gather_interleaved_chunk<T>(                               \
         InterleavedGroup<T>&, const InterleavedGatherMap&,                   \
         std::span<const T>, size_type, FactorInfo*);                         \

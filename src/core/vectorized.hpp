@@ -21,7 +21,6 @@
 
 #include "core/getrf.hpp"
 #include "core/interleaved.hpp"
-#include "core/pivot_policy.hpp"
 #include "simd/op_sweep.hpp"
 
 namespace vbatch::core {
@@ -48,13 +47,6 @@ struct VectorizedOptions {
     /// pivot magnitudes -- identical values to the scalar in-kernel
     /// monitor).
     bool monitor = false;
-    /// Kernel pivoting strategy. PivotPolicy::none routes through the
-    /// pivot-free instantiations (no compare/select pivot scan, no
-    /// gather_rows) -- intended for blocks preprocessed with a random
-    /// butterfly transform (core/rbt.hpp); the monitor scan still reads
-    /// |u_kk| off the diagonal, which without pivoting *is* the pivot
-    /// sequence.
-    PivotPolicy pivot = PivotPolicy::implicit;
 };
 
 /// Factorize every lane of `g` in place. Pivots and per-lane breakdown
@@ -77,16 +69,14 @@ void getrs_interleaved(const InterleavedGroup<T>& g,
 /// chunk and drives all groups' chunks through one parallel loop).
 template <typename T>
 void getrs_interleaved_chunk(const InterleavedGroup<T>& g,
-                             InterleavedVectors<T>& b, size_type chunk,
-                             PivotPolicy pivot = PivotPolicy::implicit);
+                             InterleavedVectors<T>& b, size_type chunk);
 
 /// Factorize one chunk of the group, inline on the calling thread -- the
 /// getrf counterpart of getrs_interleaved_chunk. Building block of the
 /// fused gather+factorize setup pass. Records the chunk's envelope from
 /// the final factors (envelope_interleaved_chunk).
 template <typename T>
-void getrf_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk,
-                             PivotPolicy pivot = PivotPolicy::implicit);
+void getrf_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk);
 
 /// Record the column envelope of one chunk's factors (the union over its
 /// lanes, see envelope_scan_chunk in core/chunk_kernels.hpp) into
@@ -98,35 +88,9 @@ void envelope_interleaved_chunk(InterleavedGroup<T>& g, size_type chunk);
 
 /// Column envelope of one contiguous factored block: the same scan at
 /// one lane. env receives 2*m entries (last_l, then first_u) for the
-/// envelope-bounded eager getrs_single / getrs_single_nopivot.
+/// envelope-bounded eager getrs_single.
 template <typename T>
 void factor_envelope(ConstMatrixView<T> lu, std::span<index_type> env);
-
-/// Two-sided random butterfly transform A := U^T A V of one chunk's
-/// matrices in place. `ucoef`/`vcoef` point at the group's
-/// lane-interleaved coefficient tables (core/rbt.hpp packs them):
-/// coef[((chunk*depth + t)*m + i)*lanes + lane] is position i of level t
-/// of lane `lane`'s butterfly.
-template <typename T>
-void rbt_transform_interleaved_chunk(InterleavedGroup<T>& g, const T* ucoef,
-                                     const T* vcoef, index_type depth,
-                                     size_type chunk);
-
-/// Forward vector transform b := U^T b of one chunk (before the
-/// pivot-free solve); coefficient layout as in
-/// rbt_transform_interleaved_chunk.
-template <typename T>
-void rbt_forward_interleaved_chunk(const InterleavedGroup<T>& g,
-                                   InterleavedVectors<T>& b, const T* ucoef,
-                                   index_type depth, size_type chunk);
-
-/// Backward vector transform x := V y of one chunk (after the pivot-free
-/// solve, recovering the untransformed solution).
-template <typename T>
-void rbt_backward_interleaved_chunk(const InterleavedGroup<T>& g,
-                                    InterleavedVectors<T>& b,
-                                    const T* vcoef, index_type depth,
-                                    size_type chunk);
 
 /// Sparse gather map from a flat CSR value array into the lane slots of
 /// one InterleavedGroup: lane l's entries occupy

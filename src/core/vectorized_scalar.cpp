@@ -24,20 +24,6 @@ void getrs_chunk_scalar(const T* lu, const index_type* perm,
 }
 
 template <typename T>
-void getrf_nopivot_chunk_scalar(T* a, index_type* perm, index_type* info,
-                                index_type m, size_type lane_stride) {
-    getrf_chunk<T, ChunkBackend, PivotPolicy::none>(a, perm, info, m,
-                                                    lane_stride);
-}
-
-template <typename T>
-void getrs_nopivot_chunk_scalar(const T* lu, const index_type* env, T* b,
-                                index_type m, size_type lane_stride) {
-    getrs_chunk<T, ChunkBackend, PivotPolicy::none>(lu, nullptr, env, b, m,
-                                                    lane_stride);
-}
-
-template <typename T>
 void pack_zero_chunk_scalar(T* vals, size_type n) {
     pack_zero_chunk<T, ChunkBackend>(vals, n);
 }
@@ -64,26 +50,6 @@ void envelope_scan_chunk_scalar(const T* lu, index_type m,
 }
 
 template <typename T>
-void rbt_transform_chunk_scalar(T* a, const T* ucoef, const T* vcoef,
-                                index_type m, index_type depth,
-                                size_type lane_stride) {
-    rbt_transform_chunk<T, ChunkBackend>(a, ucoef, vcoef, m, depth,
-                                         lane_stride);
-}
-
-template <typename T>
-void rbt_forward_chunk_scalar(T* b, const T* ucoef, index_type m,
-                              index_type depth, size_type lane_stride) {
-    rbt_forward_chunk<T, ChunkBackend>(b, ucoef, m, depth, lane_stride);
-}
-
-template <typename T>
-void rbt_backward_chunk_scalar(T* x, const T* vcoef, index_type m,
-                               index_type depth, size_type lane_stride) {
-    rbt_backward_chunk<T, ChunkBackend>(x, vcoef, m, depth, lane_stride);
-}
-
-template <typename T>
 void simd_op_sweep_scalar(const simd::OpSweepInput<T>& in,
                           simd::OpSweepResult<T>& out) {
     simd::op_sweep_run<T, ChunkBackend>(in, out);
@@ -95,11 +61,6 @@ void simd_op_sweep_scalar(const simd::OpSweepInput<T>& in,
     template void getrs_chunk_scalar<T>(const T*, const index_type*,         \
                                         const index_type*, T*, index_type,   \
                                         size_type);                          \
-    template void getrf_nopivot_chunk_scalar<T>(T*, index_type*,             \
-                                                index_type*, index_type,     \
-                                                size_type);                  \
-    template void getrs_nopivot_chunk_scalar<T>(const T*, const index_type*, \
-                                                T*, index_type, size_type);  \
     template void pack_zero_chunk_scalar<T>(T*, size_type);                  \
     template void pack_entry_stats_chunk_scalar<T>(const T*, size_type, T*,  \
                                                    unsigned*);               \
@@ -107,13 +68,6 @@ void simd_op_sweep_scalar(const simd::OpSweepInput<T>& in,
                                             size_type, T*, T*, unsigned*);   \
     template void envelope_scan_chunk_scalar<T>(const T*, index_type,        \
                                                 size_type, index_type*);     \
-    template void rbt_transform_chunk_scalar<T>(T*, const T*, const T*,      \
-                                                index_type, index_type,      \
-                                                size_type);                  \
-    template void rbt_forward_chunk_scalar<T>(T*, const T*, index_type,      \
-                                              index_type, size_type);        \
-    template void rbt_backward_chunk_scalar<T>(T*, const T*, index_type,     \
-                                               index_type, size_type);       \
     template void simd_op_sweep_scalar<T>(const simd::OpSweepInput<T>&,      \
                                           simd::OpSweepResult<T>&)
 

@@ -169,32 +169,6 @@ void render_service(std::string& out, const JsonValue& doc) {
     out += "\n";
 }
 
-/// Pivoting-free fast-path telemetry: the "block_jacobi.rbt_*" counter
-/// family a PivotScheme::rbt setup publishes (transformed = blocks whose
-/// factors are the butterfly-transformed pivot-free LU, monitored =
-/// blocks the degeneracy scan flagged, fellback = blocks refactorized
-/// with implicit pivoting off the fast path). Rendered only when the
-/// document carries the family, so pivoted bench reports stay unchanged.
-void render_rbt(std::string& out, const JsonValue& doc) {
-    const JsonValue* counters = doc.find("counters");
-    if (counters == nullptr || !counters->is_object() ||
-        counters->find("block_jacobi.rbt_transformed") == nullptr) {
-        return;
-    }
-    const auto counter = [&](const char* key) {
-        return member_num(*counters, key);
-    };
-    const double transformed = counter("block_jacobi.rbt_transformed");
-    const double fellback = counter("block_jacobi.rbt_fellback");
-    const double total = transformed + fellback;
-    appendf(out,
-            "rbt fast path: %.0f of %.0f block(s) pivot-free "
-            "(%5.1f%%), %.0f monitored, %.0f refactorized pivoted\n\n",
-            transformed, total,
-            total > 0.0 ? transformed / total * 100.0 : 0.0,
-            counter("block_jacobi.rbt_monitored"), fellback);
-}
-
 /// Envelope-bounded block-Jacobi apply: the
 /// "block_jacobi.apply_envelope_frac" gauge (factor entries the apply
 /// streams / sum of m^2 over the blocks, from the last numeric pass).
@@ -305,7 +279,6 @@ std::string render_report(const JsonValue& doc, const Options& opts) {
     render_roofline(out, doc);
     render_pool(out, doc);
     render_service(out, doc);
-    render_rbt(out, doc);
     render_envelope(out, doc);
     render_perf(out, doc, opts);
     return out;

@@ -180,18 +180,6 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
     obs::TraceRegion trace("block_jacobi::setup");
     obs::PerfRegion perf("block_jacobi::setup");
     Timer timer;
-    if (options_.pivot == PivotScheme::rbt) {
-        VBATCH_ENSURE(options_.backend == BlockJacobiBackend::lu_simd,
-                      "block-Jacobi setup: pivot=rbt requires the lu or "
-                      "lu-simd backend");
-        VBATCH_ENSURE(
-            options_.recovery.mode != RecoveryPolicy::Mode::strict,
-            "block-Jacobi setup: pivot=rbt requires a non-strict recovery "
-            "policy (degenerate blocks must be able to fall back to the "
-            "pivoted path)");
-        rbt_ = core::RbtTransforms<T>(options_.rbt_seed,
-                                      options_.rbt_depth);
-    }
     if (options_.symbolic) {
         sym_ = options_.symbolic;
         symbolic_shared_ = true;
@@ -217,17 +205,6 @@ BlockJacobi<T>::BlockJacobi(const sparse::Csr<T>& a,
             g.size, static_cast<size_type>(g.indices.size()), sym_->isa);
         if (monitor) {
             sg.lane_infos.resize(g.indices.size());
-        }
-        if (rbt_enabled()) {
-            const size_type tab =
-                sg.group.lane_stride() *
-                static_cast<size_type>(rbt_.depth()) *
-                static_cast<size_type>(g.size);
-            sg.ucoef = AlignedBuffer<T>(tab);
-            sg.vcoef = AlignedBuffer<T>(tab);
-            rbt_.fill_group_coeffs(g.indices, g.size, sg.group.lanes(),
-                                   sg.group.lane_stride(),
-                                   sg.ucoef.data(), sg.vcoef.data());
         }
         sg.rhs = core::InterleavedVectors<T>(
             g.size, static_cast<size_type>(g.indices.size()), sym_->isa);
@@ -310,26 +287,10 @@ void BlockJacobi<T>::record_numeric_metrics() const {
         for (size_type b = 0; b < layout_->count(); ++b) {
             flops += core::getrf_flops(layout_->size(b));
             bytes += core::getrf_bytes<T>(layout_->size(b));
-            if (rbt_enabled()) {
-                // The two-sided butterfly transform runs inside the
-                // factorize phase, so its canonical traffic belongs here.
-                flops += core::rbt_transform_flops(layout_->size(b),
-                                                   rbt_.depth());
-                bytes += core::rbt_transform_bytes<T>(layout_->size(b),
-                                                      rbt_.depth());
-            }
         }
         registry.record_traffic("block_jacobi.factorize", flops, bytes,
                                 setup_phases_.factorize_seconds,
                                 layout_->count());
-    }
-    if (rbt_enabled()) {
-        registry.add("block_jacobi.rbt_transformed",
-                     static_cast<double>(layout_->count() - rbt_fellback_));
-        registry.add("block_jacobi.rbt_monitored",
-                     static_cast<double>(rbt_monitored_));
-        registry.add("block_jacobi.rbt_fellback",
-                     static_cast<double>(rbt_fellback_));
     }
 }
 
@@ -344,13 +305,6 @@ void BlockJacobi<T>::update_apply_traffic() {
         dense_entries_ += n * static_cast<double>(m) * m;
         apply_bytes_ += n * core::getrs_envelope_bytes<T>(m, entries);
         apply_flops_ += n * core::getrs_envelope_flops(entries);
-        if (rbt_enabled()) {
-            // Forward (U^T b) + backward (V y) vector transforms wrap
-            // every block solve on the fast path.
-            apply_flops_ += n * 2.0 * core::rbt_vector_flops(m, rbt_.depth());
-            apply_bytes_ +=
-                n * 2.0 * core::rbt_vector_bytes<T>(m, rbt_.depth());
-        }
     };
     // Every lane of a chunk streams the chunk's envelope.
     for (const auto& sg : simd_groups_) {
@@ -367,8 +321,7 @@ void BlockJacobi<T>::update_apply_traffic() {
         }
     }
     const bool envelope_solve =
-        options_.backend == BlockJacobiBackend::lu_simd &&
-        options_.trsv_variant == core::TrsvVariant::eager;
+        options_.backend == BlockJacobiBackend::lu_simd;
     for (const auto b : sym_->scalar_blocks) {
         const index_type m = layout_->size(b);
         add_blocks(m,
@@ -395,14 +348,6 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
     recovery_ = {};
     degraded_blocks_.clear();
     fallback_inv_diag_.clear();
-    rbt_pivoted_blocks_.clear();
-    rbt_monitored_ = 0;
-    rbt_fellback_ = 0;
-    if (rbt_enabled()) {
-        rbt_applied_.assign(static_cast<std::size_t>(nb), 1);
-    } else {
-        rbt_applied_.clear();
-    }
 
     core::FactorizeStatus status;
     if (monitor) {
@@ -441,15 +386,7 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
                                            task.chunk, infos);
             atomic_add(gather_s, tg.seconds());
             Timer tf;
-            if (rbt_enabled()) {
-                core::rbt_transform_interleaved_chunk(
-                    sg.group, sg.ucoef.data(), sg.vcoef.data(),
-                    rbt_.depth(), task.chunk);
-                core::getrf_interleaved_chunk(sg.group, task.chunk,
-                                              core::PivotPolicy::none);
-            } else {
-                core::getrf_interleaved_chunk(sg.group, task.chunk);
-            }
+            core::getrf_interleaved_chunk(sg.group, task.chunk);
             if (monitor) {
                 core::scan_interleaved_chunk(sg.group, task.chunk, infos);
             }
@@ -505,9 +442,7 @@ void BlockJacobi<T>::run_numeric(const sparse::Csr<T>& a) {
                     monitor
                         ? &status.block_info[static_cast<std::size_t>(b)]
                         : nullptr;
-                const auto step = rbt_enabled()
-                                      ? factorize_block_rbt(b, info)
-                                      : factorize_block(b, info);
+                const auto step = factorize_block(b, info);
                 if (!block_envelope_.empty()) {
                     core::factor_envelope<T>(factors_.view(b),
                                              block_envelope(b));
@@ -599,56 +534,6 @@ index_type BlockJacobi<T>::factorize_block(size_type b,
 }
 
 template <typename T>
-index_type BlockJacobi<T>::factorize_block_rbt(size_type b,
-                                               core::FactorInfo* info) {
-    auto v = factors_.view(b);
-    const index_type m = v.rows();
-    if (info != nullptr) {
-        // Pristine entry statistics, taken before the transform so they
-        // match the gather-fused lane statistics of the chunk path.
-        *info = {};
-        constexpr double inf = std::numeric_limits<double>::infinity();
-        for (index_type j = 0; j < m; ++j) {
-            for (index_type i = 0; i < m; ++i) {
-                const double av =
-                    std::abs(static_cast<double>(v(i, j)));
-                if (av < inf) {
-                    info->max_entry = std::max(info->max_entry, av);
-                } else {
-                    info->finite = false;
-                }
-            }
-        }
-    }
-    rbt_.transform_block(b, v);
-    auto p = pivots_.span(b);
-    for (index_type k = 0; k < m; ++k) {
-        p[static_cast<std::size_t>(k)] = k;
-    }
-    const auto step = core::getrf_nopivot(v);
-    if (info != nullptr) {
-        info->step = step;
-        if (step != 0) {
-            info->min_pivot = 0.0;
-            return step;
-        }
-        // Post-hoc diagonal scan: without pivoting |u_kk| *is* the pivot
-        // sequence (the scalar mirror of scan_interleaved_chunk).
-        constexpr double inf = std::numeric_limits<double>::infinity();
-        for (index_type k = 0; k < m; ++k) {
-            const double d = std::abs(static_cast<double>(v(k, k)));
-            if (d < inf) {
-                info->min_pivot = std::min(info->min_pivot, d);
-                info->max_pivot = std::max(info->max_pivot, d);
-            } else {
-                info->finite = false;
-            }
-        }
-    }
-    return step;
-}
-
-template <typename T>
 void BlockJacobi<T>::set_identity_block(size_type b) {
     auto v = factors_.view(b);
     const index_type m = v.rows();
@@ -670,28 +555,18 @@ void BlockJacobi<T>::recover(std::span<const T> values,
     block_status_ = std::move(status.block_status);
     const auto& infos = status.block_info;
     const auto& policy = options_.recovery;
-    const double eps =
-        static_cast<double>(std::numeric_limits<T>::epsilon());
-    // The pivot-free path is watched with the looser eps^1 auto
-    // tolerance (see RecoveryPolicy::effective_tol_rbt); refactorized
-    // and boosted blocks are pivoted again, so their health checks use
-    // the standard tolerance.
-    const double select_tol = rbt_enabled() ? policy.effective_tol_rbt(eps)
-                                            : policy.effective_tol(eps);
-    const double tol = policy.effective_tol(eps);
+    const double tol = policy.effective_tol(
+        static_cast<double>(std::numeric_limits<T>::epsilon()));
 
     std::vector<size_type> bad;
     for (size_type b = 0; b < nb; ++b) {
         const auto& fi = infos[static_cast<std::size_t>(b)];
-        if (fi.degenerate(select_tol)) {
+        if (fi.degenerate(tol)) {
             bad.push_back(b);
         } else {
             recovery_.max_growth =
                 std::max(recovery_.max_growth, fi.growth());
         }
-    }
-    if (rbt_enabled()) {
-        rbt_monitored_ = static_cast<size_type>(bad.size());
     }
     if (bad.empty()) {
         recovery_.ok = nb;
@@ -716,29 +591,6 @@ void BlockJacobi<T>::recover(std::span<const T> values,
             (fi0.finite && fi0.max_entry > 0.0) ? fi0.max_entry : 0.0;
         bool recovered = false;
         core::FactorInfo fi;
-        if (rbt_enabled()) {
-            // Leave the fast path: refactorize the pristine block with
-            // implicit pivoting, unshifted, before any boosting -- most
-            // blocks the butterfly monitor flags are merely hard, not
-            // singular, and pivoting handles them outright.
-            rbt_applied_[static_cast<std::size_t>(b)] = 0;
-            ++rbt_fellback_;
-            if (scale > 0.0) {
-                auto dst = factors_.view(b);
-                for (index_type j = 0; j < m; ++j) {
-                    for (index_type i = 0; i < m; ++i) {
-                        dst(i, j) = src(i, j);
-                    }
-                }
-                fi = {};
-                if (factorize_block(b, &fi) == 0 && !fi.degenerate(tol)) {
-                    recovery_.max_growth =
-                        std::max(recovery_.max_growth, fi.growth());
-                    rbt_pivoted_blocks_.push_back(b);
-                    continue;  // status stays ok: pivoted factors are fine
-                }
-            }
-        }
         if (scale > 0.0) {
             double tau = policy.boost_scale * scale;
             for (index_type attempt = 0; attempt < policy.max_boosts;
@@ -765,9 +617,6 @@ void BlockJacobi<T>::recover(std::span<const T> values,
                 core::BlockStatus::boosted;
             recovery_.max_growth =
                 std::max(recovery_.max_growth, fi.growth());
-            if (rbt_enabled()) {
-                rbt_pivoted_blocks_.push_back(b);
-            }
             continue;
         }
         if (policy.mode == RecoveryPolicy::Mode::boost) {
@@ -858,16 +707,8 @@ void BlockJacobi<T>::solve_block(size_type b, std::span<const T> r,
     }
     switch (options_.backend) {
     case BlockJacobiBackend::lu_simd:
-        if (rbt_applied(b)) {
-            rbt_.forward(b, zb);
-            core::getrs_single_nopivot(factors_.view(b), zb,
-                                       options_.trsv_variant,
-                                       block_envelope(b));
-            rbt_.backward(b, zb);
-        } else {
-            core::getrs_single(factors_.view(b), pivots_.span(b), zb,
-                               options_.trsv_variant, block_envelope(b));
-        }
+        core::getrs_single(factors_.view(b), pivots_.span(b), zb,
+                           core::TrsvVariant::eager, block_envelope(b));
         break;
     case BlockJacobiBackend::gauss_huard:
         core::gauss_huard_solve(factors_.view(b), pivots_.span(b), zb,
@@ -878,7 +719,7 @@ void BlockJacobi<T>::solve_block(size_type b, std::span<const T> r,
                                 core::GhStorage::transposed);
         break;
     case BlockJacobiBackend::cholesky:
-        core::potrs_single(factors_.view(b), zb, options_.trsv_variant);
+        core::potrs_single(factors_.view(b), zb);
         break;
     case BlockJacobiBackend::gje_inversion: {
         // z_b := D_b^{-1} r_b as a small GEMV from the inverted block.
@@ -955,22 +796,7 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
                 dst[i * lanes] = src[i];
             }
         }
-        if (rbt_enabled()) {
-            // y = V solve(LU, U^T b): vector transforms bracket the
-            // pivot-free lane solve. Lanes holding blocks that left the
-            // fast path produce finite garbage here and are re-solved by
-            // the pivoted fix-up pass below.
-            core::rbt_forward_interleaved_chunk(sg.group, sg.rhs,
-                                                sg.ucoef.data(),
-                                                rbt_.depth(), task.chunk);
-            core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk,
-                                          core::PivotPolicy::none);
-            core::rbt_backward_interleaved_chunk(sg.group, sg.rhs,
-                                                 sg.vcoef.data(),
-                                                 rbt_.depth(), task.chunk);
-        } else {
-            core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk);
-        }
+        core::getrs_interleaved_chunk(sg.group, sg.rhs, task.chunk);
         for (size_type l = lane_lo; l < lane_hi; ++l) {
             T* dst = z.data() + row_offsets[static_cast<std::size_t>(l)];
             const T* src = chunk_vals + (l - lane_lo);
@@ -986,12 +812,6 @@ void BlockJacobi<T>::apply(std::span<const T> r, std::span<T> z) const {
         for (size_type t = 0; t < ntasks; ++t) {
             body(t);
         }
-    }
-    // Blocks that left the RBT fast path but hold usable pivoted factors
-    // are re-solved through the pivoted per-block path (their group lanes
-    // ran the pivot-free solve on pivoted factors above).
-    for (const auto b : rbt_pivoted_blocks_) {
-        solve_block(b, r, z);
     }
     // Degraded blocks route through the inverse-diagonal fallback; the
     // fix-up pass overwrites whatever the chunk or per-block solve
@@ -1040,9 +860,6 @@ std::string BlockJacobi<T>::name() const {
         backend += std::string("[") + core::simd_isa_name(sym_->isa) + "]";
     } else if (options_.backend == BlockJacobiBackend::lu_simd) {
         backend = "lu";  // one lane: the paper's per-block LU
-    }
-    if (options_.pivot == PivotScheme::rbt) {
-        backend += "+rbt";
     }
     return "block-jacobi(" + backend + "," +
            std::to_string(options_.max_block_size) + ")";

@@ -32,11 +32,11 @@
 #include "core/gauss_huard.hpp"
 #include "core/gauss_jordan.hpp"
 #include "core/getrf.hpp"
-#include "core/rbt.hpp"
 #include "core/trsv.hpp"
 #include "core/vectorized.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/recovery.hpp"
+#include "precond/retired_options.hpp"
 #include "sparse/csr.hpp"
 
 namespace vbatch::precond {
@@ -115,27 +115,16 @@ struct BlockJacobiOptions {
     /// Upper bound for the supervariable agglomeration (Table I sweeps
     /// {8, 12, 16, 24, 32}).
     index_type max_block_size = 32;
-    /// Eager or lazy triangular solves of the per-block LU and Cholesky
-    /// solves. Lane chunks always solve eagerly, which is the variant the
-    /// paper selects.
-    core::TrsvVariant trsv_variant = core::TrsvVariant::eager;
     /// Instruction set of the LU backend (clamped by availability;
     /// defaults to the widest the machine supports). SimdIsa::scalar is
     /// the one-lane LU, the paper's per-block kernel.
     core::SimdIsa simd = core::detect_simd_isa();
-    /// Pivoting scheme of the LU backend. PivotScheme::rbt
-    /// preprocesses every block with a seeded random butterfly transform
-    /// and factorizes without pivoting (core/rbt.hpp); blocks the
-    /// butterflies fail to regularize are refactorized with implicit
-    /// pivoting through the recovery chain, so the setup stays total --
-    /// which is why rbt requires a non-strict recovery policy.
+    /// Retired spellings that only bench_e2e/e2e_bench.cpp still names
+    /// (precond/retired_options.hpp): they select nothing.
     PivotScheme pivot = PivotScheme::implicit;
-    /// Butterfly seed for pivot == PivotScheme::rbt (default:
-    /// VBATCH_RBT_SEED when set, else 42).
-    std::uint64_t rbt_seed = core::default_rbt_seed();
-    /// Butterfly recursion depth for pivot == PivotScheme::rbt (clamped
-    /// to [1, core::rbt::max_rbt_depth]).
-    index_type rbt_depth = 2;
+    RetiredOption rbt_seed;
+    RetiredOption rbt_depth;
+    RetiredOption trsv_variant;
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
     /// Reuse a precomputed block structure instead of running
@@ -217,8 +206,8 @@ public:
     double apply_bytes() const override { return apply_bytes_; }
     /// Factor entries one apply streams, summed over the blocks: the
     /// chunk's column envelope for every lane of a chunk, the block's own
-    /// envelope on the per-block eager LU solve, and all m^2 entries for
-    /// the other backends and the lazy variant (see core/trsv.hpp).
+    /// envelope on the per-block LU solve, and all m^2 entries for the
+    /// other backends.
     double apply_factor_entries() const noexcept {
         return apply_entries_;
     }
@@ -316,13 +305,6 @@ private:
         /// exclusively by the chunk tasks of this group, each of which
         /// touches a disjoint chunk.
         mutable core::InterleavedVectors<T> rhs;
-        /// Lane-interleaved butterfly coefficient tables of the group
-        /// (PivotScheme::rbt only; empty otherwise). Laid out
-        /// coef[((chunk*depth + t)*m + i)*lanes + lane], padding lanes
-        /// all-ones; filled once at construction -- the butterflies are
-        /// a pure function of (seed, block), so refresh() reuses them.
-        AlignedBuffer<T> ucoef;
-        AlignedBuffer<T> vcoef;
     };
 
     static constexpr size_type no_group = BlockJacobiSymbolic::no_group;
@@ -342,14 +324,6 @@ private:
     /// Run the backend's single-block factorization on block b in place;
     /// fills the pivot statistics when `info` is non-null.
     index_type factorize_block(size_type b, core::FactorInfo* info);
-    /// Scalar fast-path factorization of one RBT block: pristine entry
-    /// stats, butterfly transform, identity pivots, pivot-free LU,
-    /// post-hoc diagonal pivot scan -- the op-for-op scalar mirror of
-    /// the lane chunk pipeline, so both paths report identical bits.
-    index_type factorize_block_rbt(size_type b, core::FactorInfo* info);
-    bool rbt_enabled() const noexcept {
-        return options_.pivot == PivotScheme::rbt;
-    }
     /// Export the numeric-phase timings and per-status block counters
     /// to the metrics registry (shared by construction and refresh()).
     void record_numeric_metrics() const;
@@ -409,35 +383,6 @@ private:
     std::vector<T> fallback_inv_diag_;
     /// Blocks applied through fallback_inv_diag_ instead of the factors.
     std::vector<size_type> degraded_blocks_;
-    /// Butterfly generator (PivotScheme::rbt; default-constructed and
-    /// unused otherwise).
-    core::RbtTransforms<T> rbt_;
-    /// rbt_applied_[b] != 0 when block b's factors are its butterfly-
-    /// transformed pivot-free LU (apply wraps the solve in forward/
-    /// backward vector transforms). Empty unless PivotScheme::rbt.
-    std::vector<char> rbt_applied_;
-    /// Blocks that left the fast path but hold usable *pivoted* factors
-    /// (recovered clean or boosted). Their lanes still run the group's
-    /// pivot-free solve; a per-apply fix-up pass re-solves them through
-    /// the scalar pivoted path.
-    std::vector<size_type> rbt_pivoted_blocks_;
-    /// Blocks the degeneracy monitor flagged on the fast path, and the
-    /// subset (currently all of them) refactorized off it.
-    size_type rbt_monitored_ = 0;
-    size_type rbt_fellback_ = 0;
-
-public:
-    /// True when block b applies through its butterfly-transformed
-    /// pivot-free factors (always false unless PivotScheme::rbt).
-    bool rbt_applied(size_type b) const noexcept {
-        return !rbt_applied_.empty() &&
-               rbt_applied_[static_cast<std::size_t>(b)] != 0;
-    }
-    /// Fast-path robustness counters of the last numeric pass
-    /// (PivotScheme::rbt): blocks flagged degenerate by the monitor and
-    /// blocks refactorized off the fast path.
-    size_type rbt_monitored() const noexcept { return rbt_monitored_; }
-    size_type rbt_fellback() const noexcept { return rbt_fellback_; }
 };
 
 }  // namespace vbatch::precond

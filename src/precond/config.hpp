@@ -4,7 +4,7 @@
 // BlockJacobiBackend (plus special cases for "none" and scalar Jacobi)
 // each time they built a preconditioner. The Config + make_preconditioner
 // pair centralizes that: one POD carries every knob (backend key, block
-// bound, solve variant, SIMD ISA, recovery policy, precomputed layout),
+// bound, SIMD ISA, recovery policy, precomputed layout),
 // and the registry maps backend keys to constructors so downstream tools
 // never switch on the backend enum again.
 //
@@ -15,18 +15,16 @@
 // runs it at `simd`. register_backend() adds project-specific ones.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/batch_layout.hpp"
-#include "core/rbt.hpp"
 #include "core/simd_dispatch.hpp"
-#include "core/trsv.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/recovery.hpp"
+#include "precond/retired_options.hpp"
 #include "sparse/csr.hpp"
 
 namespace vbatch::precond {
@@ -41,24 +39,17 @@ struct Config {
     std::string backend = "lu";
     /// Upper bound for the supervariable agglomeration.
     index_type max_block_size = 32;
-    /// Eager or lazy triangular solves of the per-block LU and Cholesky
-    /// solves (lane chunks always solve eagerly).
-    core::TrsvVariant trsv_variant = core::TrsvVariant::eager;
     /// Instruction set of the "lu-simd" backend ("lu" always runs at
     /// SimdIsa::scalar; the other backends are per-block only).
     core::SimdIsa simd = core::detect_simd_isa();
     /// Parallelize setup/application over the blocks.
     bool parallel = true;
-    /// Pivoting scheme of the "lu" / "lu-simd" backends.
-    /// PivotScheme::rbt enables the butterfly-transformed pivot-free
-    /// fast path (requires a non-strict recovery policy).
+    /// Retired spellings that only bench_e2e/e2e_bench.cpp still names
+    /// (precond/retired_options.hpp): they select nothing.
     PivotScheme pivot = PivotScheme::implicit;
-    /// Butterfly seed for pivot == PivotScheme::rbt (default:
-    /// VBATCH_RBT_SEED when set, else 42).
-    std::uint64_t rbt_seed = core::default_rbt_seed();
-    /// Butterfly recursion depth for pivot == PivotScheme::rbt (clamped
-    /// to [1, core::rbt::max_rbt_depth]).
-    index_type rbt_depth = 2;
+    RetiredOption rbt_seed;
+    RetiredOption rbt_depth;
+    RetiredOption trsv_variant;
     /// Per-block breakdown handling (block-Jacobi backends).
     RecoveryPolicy recovery;
     /// Reuse a precomputed block structure (empty = detect).

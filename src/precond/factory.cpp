@@ -52,12 +52,8 @@ BlockJacobiOptions block_jacobi_options(const Config& config,
     BlockJacobiOptions opts;
     opts.backend = block_jacobi_kinds().at(key);
     opts.max_block_size = config.max_block_size;
-    opts.trsv_variant = config.trsv_variant;
     opts.simd = key == "lu" ? core::SimdIsa::scalar : config.simd;
     opts.parallel = config.parallel;
-    opts.pivot = config.pivot;
-    opts.rbt_seed = config.rbt_seed;
-    opts.rbt_depth = config.rbt_depth;
     opts.layout = config.layout;
     opts.recovery = config.recovery;
     opts.symbolic = config.symbolic;

@@ -15,20 +15,6 @@
 
 namespace vbatch::precond {
 
-/// Pivoting scheme of the lu / lu-simd block factorization backends.
-enum class PivotScheme {
-    /// The paper's implicit partial pivoting (default).
-    implicit,
-    /// Random butterfly transform preprocessing + pivot-free LU
-    /// (core/rbt.hpp): blocks are replaced by U^T A V before a
-    /// no-pivoting factorization, removing the pivot search and the
-    /// row-gather from the hot loop. Degenerate blocks are refactorized
-    /// with implicit pivoting through the recovery chain, so the setup
-    /// stays total -- which is why this scheme requires a non-strict
-    /// RecoveryPolicy.
-    rbt,
-};
-
 /// What to do when a diagonal block's factorization breaks down or its
 /// pivot sequence is numerically degenerate.
 struct RecoveryPolicy {
@@ -64,16 +50,6 @@ struct RecoveryPolicy {
     /// Effective degeneracy tolerance for a value type with epsilon `eps`.
     double effective_tol(double eps) const noexcept {
         return pivot_rel_tol >= 0.0 ? pivot_rel_tol : eps * eps;
-    }
-
-    /// Effective tolerance of the pivot-free (PivotScheme::rbt) path.
-    /// Without pivoting a small |u_kk| means real element growth, not
-    /// just an ill-conditioned block, so the auto tolerance watches with
-    /// eps^1 instead of eps^2: any block the butterflies failed to
-    /// regularize is handed back to the pivoted path long before its
-    /// factors turn worthless.
-    double effective_tol_rbt(double eps) const noexcept {
-        return pivot_rel_tol >= 0.0 ? pivot_rel_tol : eps;
     }
 
     static RecoveryPolicy strict() noexcept {

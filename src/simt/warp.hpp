@@ -122,7 +122,7 @@ public:
         return out;
     }
 
-    /// Butterfly argmax reduction over |v| restricted to `mask`:
+    /// XOR-shuffle argmax reduction over |v| restricted to `mask`:
     /// returns {max |v[l]|, lane achieving it}. Mirrors the 5-step
     /// __shfl_xor reduction used for pivot selection; charges 5 shuffle
     /// issues + 5 compare issues.
@@ -146,7 +146,7 @@ public:
         return {best_val, best_lane};
     }
 
-    /// Butterfly sum reduction over active lanes (5 shuffle + 5 add issues).
+    /// XOR-shuffle sum reduction over active lanes (5 shuffle + 5 add issues).
     /// The result is the broadcast scalar sum.
     template <typename T>
     T reduce_sum(lane_mask mask, const Reg<T>& v) {
@@ -231,7 +231,7 @@ public:
         return r;
     }
 
-    /// Butterfly argmax of |v| restricted to each half-warp segment of
+    /// XOR-shuffle argmax of |v| restricted to each half-warp segment of
     /// `mask` independently (a 4-step __shfl_xor reduction serves both
     /// halves simultaneously). Returns {value, lane} per half; a half with
     /// empty mask yields {0, -1}.

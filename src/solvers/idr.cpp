@@ -99,6 +99,10 @@ SolveResult idr(const sparse::Csr<T>& a, std::span<const T> b,
     std::vector<T> f(static_cast<std::size_t>(s));
     std::vector<T> c(static_cast<std::size_t>(s));
     std::vector<T> negc(static_cast<std::size_t>(s));
+    // Factor + pivot workspace of the inner (s-k) x (s-k) solves, sized
+    // once for the largest (k = 0), so an inner step allocates nothing.
+    std::vector<T> msub(static_cast<std::size_t>(s) * s);
+    std::vector<index_type> ipiv(static_cast<std::size_t>(s));
     std::vector<T> v(nz), vhat(nz), t(nz);
     T om{1};
     index_type applies = 0;
@@ -142,21 +146,23 @@ SolveResult idr(const sparse::Csr<T>& a, std::span<const T> b,
         for (index_type k = 0; k < s && !converged; ++k) {
             // Solve the trailing (s-k) x (s-k) block of M for c.
             const index_type sk = s - k;
-            DenseMatrix<T> msub(sk, sk);
+            const MatrixView<T> lu(msub.data(), sk, sk);
             for (index_type j = 0; j < sk; ++j) {
                 for (index_type i = 0; i < sk; ++i) {
-                    msub(i, j) = mmat(k + i, k + j);
+                    lu(i, j) = mmat(k + i, k + j);
                 }
                 c[static_cast<std::size_t>(j)] =
                     f[static_cast<std::size_t>(k + j)];
             }
-            if (lapack::gesv<T>(msub.view(),
-                                std::span<T>(c.data(),
-                                             static_cast<std::size_t>(sk))) !=
-                0) {
+            const std::span<index_type> piv(ipiv.data(),
+                                            static_cast<std::size_t>(sk));
+            if (lapack::getrf<T>(lu, piv) != 0) {
                 broke_down = true;
                 break;
             }
+            lapack::getrs<T>(lu, piv,
+                             std::span<T>(c.data(),
+                                          static_cast<std::size_t>(sk)));
             {
                 PhaseTimer pt(phases, ph.blas1);
                 // v = r - sum_i c_i g_{k+i}: one sweep over the g columns.

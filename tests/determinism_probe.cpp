@@ -1,11 +1,13 @@
 // Cross-process determinism probe: runs every Krylov solver over the full
 // hot path (nnz-balanced spmv, fused BLAS-1, block-Jacobi apply with the
-// LU at one lane and at the native width) and writes an FNV-1a hash of all
-// solution bit patterns to
-// argv[1]. CTest launches this binary under VBATCH_THREADS=1, 2 and 8 and
-// compares the output files byte for byte -- the pool size is fixed at
-// startup, so thread-count independence can only be proven across
-// processes.
+// LU at one lane and at the native width), then a block-Jacobi setup over
+// injected ill-conditioned and singular blocks, and writes a running
+// FNV-1a hash of all bit patterns to argv[1] -- one "<section> <hash>"
+// line after each section, so two files that differ name the first
+// section that diverged. CTest launches this binary under
+// VBATCH_THREADS=1, 2 and 8 and compares the output files byte for byte
+// -- the pool size is fixed at startup, so thread-count independence can
+// only be proven across processes.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -45,6 +47,11 @@ int main(int argc, char** argv) {
         return 2;
     }
     using namespace vbatch;
+    std::FILE* out = std::fopen(argv[1], "w");
+    if (out == nullptr) {
+        std::fprintf(stderr, "cannot open %s\n", argv[1]);
+        return 2;
+    }
 
     // Skewed-nnz system spanning several BLAS-1 chunks so both the spmv
     // partition and the chunked reductions actually split.
@@ -58,6 +65,13 @@ int main(int argc, char** argv) {
     }
 
     Fnv1a hash;
+    // Labels name the pass (one lane, then the native width), never the
+    // ISA it resolved to, so a run pinned to scalar prints the same lines.
+    const auto section = [&](const char* lanes, const char* name) {
+        std::fprintf(out, "%s.%s %016llx\n", lanes, name,
+                     static_cast<unsigned long long>(hash.state));
+    };
+    const char* lanes = "lane1";
     for (const auto isa : {core::SimdIsa::scalar, core::detect_simd_isa()}) {
         precond::BlockJacobiOptions popts;
         popts.simd = isa;
@@ -73,12 +87,14 @@ int main(int argc, char** argv) {
                                std::span<double>(x), prec, opts);
         hash.add_vector(x);
         hash.add(&res.iterations, sizeof(res.iterations));
+        section(lanes, "cg");
 
         x.assign(nz, 0.0);
         res = solvers::bicgstab(a, std::span<const double>(b),
                                 std::span<double>(x), prec, opts);
         hash.add_vector(x);
         hash.add(&res.iterations, sizeof(res.iterations));
+        section(lanes, "bicgstab");
 
         x.assign(nz, 0.0);
         solvers::IdrOptions iopts;
@@ -88,6 +104,7 @@ int main(int argc, char** argv) {
                            std::span<double>(x), prec, iopts);
         hash.add_vector(x);
         hash.add(&res.iterations, sizeof(res.iterations));
+        section(lanes, "idr");
 
         x.assign(nz, 0.0);
         solvers::GmresOptions gopts;
@@ -98,25 +115,27 @@ int main(int argc, char** argv) {
                              std::span<double>(x), prec, gopts);
         hash.add_vector(x);
         hash.add(&res.iterations, sizeof(res.iterations));
+        section(lanes, "gmres");
+        lanes = "native";
     }
 
-    // Pivoting-free fast path: the butterfly coefficients are a pure
-    // function of (seed, block), so the RBT setup -- including the
-    // degeneracy monitor and the pivoted fallback on injected
-    // near-singular blocks -- must be bitwise independent of the thread
-    // count and scheduler mode too.
+    // Recovery chain: graded near-singular blocks (kept by the implicit
+    // pivoting, every pivot stays above the degeneracy tolerance) and
+    // zeroed blocks (scalar-Jacobi/identity fallback) must factorize,
+    // classify and apply bitwise independent of the thread count and
+    // the lane width.
     {
         auto graded = a;
         const auto layout = blocking::supervariable_layout(
             graded, blocking::BlockingOptions{.max_block_size = 16});
         blocking::make_blocks_illcond(graded, *layout, 6);
+        blocking::make_blocks_singular(graded, *layout, 2);
         for (const auto isa :
              {core::SimdIsa::scalar, core::detect_simd_isa()}) {
             precond::BlockJacobiOptions popts;
             popts.simd = isa;
             popts.max_block_size = 16;
             popts.layout = layout;
-            popts.pivot = precond::PivotScheme::rbt;
             const precond::BlockJacobi<double> prec(graded, popts);
             for (size_type bi = 0; bi < prec.factors().count(); ++bi) {
                 const auto v = prec.factors().view(bi);
@@ -127,20 +146,18 @@ int main(int argc, char** argv) {
                     }
                 }
             }
-            const auto fellback = prec.rbt_fellback();
-            hash.add(&fellback, sizeof(fellback));
+            const auto summary = prec.recovery_summary();
+            for (const auto count : {summary.ok, summary.boosted,
+                                     summary.fell_back, summary.singular}) {
+                hash.add(&count, sizeof(count));
+            }
+            hash.add(&summary.max_growth, sizeof(summary.max_growth));
             std::vector<double> z(nz, 0.0);
             prec.apply(std::span<const double>(b), std::span<double>(z));
             hash.add_vector(z);
         }
     }
-
-    std::FILE* out = std::fopen(argv[1], "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", argv[1]);
-        return 2;
-    }
-    std::fprintf(out, "%016llx\n",
+    std::fprintf(out, "illcond %016llx\n",
                  static_cast<unsigned long long>(hash.state));
     std::fclose(out);
     return 0;

@@ -1,8 +1,8 @@
 // Solver hot-path contracts: fused BLAS-1 kernels are bitwise identical
 // to their unfused compositions, chunked reductions are bitwise stable
 // under any work distribution, the Csr spmv partition survives structural
-// mutation, the BlockJacobi apply performs zero heap allocations, and the
-// thread pool's inline/nested fast paths behave.
+// mutation, the BlockJacobi apply and the IDR(s) iteration perform zero
+// heap allocations, and the thread pool's inline/nested fast paths behave.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,11 +19,13 @@
 #include "blas/fused.hpp"
 #include "precond/block_jacobi.hpp"
 #include "solvers/cg.hpp"
+#include "solvers/idr.hpp"
 #include "sparse/generators.hpp"
 
 // ---------------------------------------------------------------------
-// Global allocation counter (for the zero-allocation apply test). All
-// other tests ignore it; the counter itself never allocates.
+// Global allocation counter (for the zero-allocation apply and IDR
+// iteration tests). All other tests ignore it; the counter itself never
+// allocates.
 // ---------------------------------------------------------------------
 namespace {
 std::atomic<long> g_allocations{0};
@@ -443,6 +445,30 @@ TEST(BlockJacobiApply, PerformsNoHeapAllocations) {
         EXPECT_EQ(after - before, 0)
             << prec.name() << ": apply allocated";
     }
+}
+
+TEST(IdrIteration, PerformsNoHeapAllocations) {
+    // Every allocation of a solve that runs out of budget happens before
+    // or after the iteration loop: 8 and 64 iterations allocate equally
+    // often, so an iteration allocates nothing.
+    const auto a = sparse::laplacian_2d<double>(40, 40);
+    const precond::BlockJacobi<double> prec(a, {});
+    const auto nz = static_cast<std::size_t>(a.num_rows());
+    const auto b = random_vec(nz, 34);
+    const auto count_allocations = [&](index_type max_iters) {
+        solvers::IdrOptions opts;
+        opts.max_iters = max_iters;
+        opts.rel_tol = 1e-300;  // unreachable: the budget ends the solve
+        std::vector<double> x(nz, 0.0);
+        const long before = g_allocations.load(std::memory_order_relaxed);
+        const auto res =
+            solvers::idr(a, cspan(b), std::span<double>(x), prec, opts);
+        const long after = g_allocations.load(std::memory_order_relaxed);
+        EXPECT_EQ(res.iterations, max_iters);
+        return after - before;
+    };
+    count_allocations(8);  // warm-up: first-use metric counters
+    EXPECT_EQ(count_allocations(8), count_allocations(64));
 }
 
 TEST(BlockJacobiApply, SimdPathMatchesScalarBackendBitwise) {

@@ -234,26 +234,6 @@ TEST(BlockJacobi, NameAndSetupTime) {
     EXPECT_GE(prec.setup_seconds(), 0.0);
 }
 
-TEST(BlockJacobi, TrsvVariantsGiveSameAnswer) {
-    const auto a = sparse::laplacian_2d<double>(6, 6, 3);
-    const auto n = static_cast<std::size_t>(a.num_rows());
-    std::vector<double> r(n, 2.0), z1(n), z2(n);
-    // One lane, so every block takes the per-block solve the variant
-    // selects (lane chunks always solve eagerly).
-    BlockJacobiOptions o1;
-    o1.simd = core::SimdIsa::scalar;
-    o1.trsv_variant = core::TrsvVariant::eager;
-    BlockJacobiOptions o2 = o1;
-    o2.trsv_variant = core::TrsvVariant::lazy;
-    BlockJacobi<double>(a, o1).apply(std::span<const double>(r),
-                                     std::span<double>(z1));
-    BlockJacobi<double>(a, o2).apply(std::span<const double>(r),
-                                     std::span<double>(z2));
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(z1[i], z2[i], 1e-11);
-    }
-}
-
 TEST(BlockJacobi, DiagnosticsReportConditioning) {
     const auto a = sparse::laplacian_2d<double>(8, 8, 4);
     BlockJacobiOptions opts;
@@ -273,13 +253,10 @@ TEST(BlockJacobi, DiagnosticsReportConditioning) {
 }
 
 /// Reference apply: every block's full-bounds eager solve over
-/// prec.factors()/pivots(), wrapped in the butterfly vector transforms
-/// where the block took the RBT fast path.
+/// prec.factors()/pivots().
 std::vector<double> dense_eager_apply(const BlockJacobi<double>& prec,
                                       const std::vector<double>& r) {
     const auto& layout = prec.layout();
-    const core::RbtTransforms<double> rbt(prec.options().rbt_seed,
-                                          prec.options().rbt_depth);
     std::vector<double> z(r);
     for (size_type b = 0; b < layout.count(); ++b) {
         const auto st = prec.block_status()[static_cast<std::size_t>(b)];
@@ -289,14 +266,8 @@ std::vector<double> dense_eager_apply(const BlockJacobi<double>& prec,
         const std::span<double> zb(
             z.data() + layout.row_offset(b),
             static_cast<std::size_t>(layout.size(b)));
-        if (prec.rbt_applied(b)) {
-            rbt.forward(b, zb);
-            core::getrs_single_nopivot(prec.factors().view(b), zb);
-            rbt.backward(b, zb);
-        } else {
-            core::getrs_single(prec.factors().view(b), prec.pivots().span(b),
-                               zb);
-        }
+        core::getrs_single(prec.factors().view(b), prec.pivots().span(b),
+                           zb);
     }
     return z;
 }
@@ -341,18 +312,10 @@ TEST(BlockJacobiEnvelope, D1StencilStreamsTheTridiagonalBand) {
 }
 
 TEST(BlockJacobiEnvelope, ApplyEqualsDenseEagerSolveBitwise) {
-    struct Case {
-        const char* name;
-        PivotScheme pivot;
-    };
-    const Case cases[] = {{"lap2d_d1", PivotScheme::implicit},
-                          {"convdiff_p10_d4", PivotScheme::implicit},
-                          {"circuit_sparse", PivotScheme::implicit},
-                          {"fem_d16_m", PivotScheme::implicit},
-                          {"convdiff_p10_d4", PivotScheme::rbt}};
-    for (const auto& c : cases) {
+    for (const char* name :
+         {"lap2d_d1", "convdiff_p10_d4", "circuit_sparse", "fem_d16_m"}) {
         const auto a =
-            sparse::build_suite_matrix(sparse::suite_case_by_name(c.name));
+            sparse::build_suite_matrix(sparse::suite_case_by_name(name));
         const auto r = envelope_rhs(a.num_rows());
         // One lane and the leg's ISA; serial and on the global pool.
         for (const auto isa :
@@ -360,7 +323,6 @@ TEST(BlockJacobiEnvelope, ApplyEqualsDenseEagerSolveBitwise) {
             for (const bool parallel : {false, true}) {
                 BlockJacobiOptions opts;
                 opts.simd = isa;
-                opts.pivot = c.pivot;
                 opts.parallel = parallel;
                 const BlockJacobi<double> prec(a, opts);
                 std::vector<double> z(r.size());
@@ -369,7 +331,7 @@ TEST(BlockJacobiEnvelope, ApplyEqualsDenseEagerSolveBitwise) {
                 for (std::size_t i = 0; i < z.size(); ++i) {
                     ASSERT_EQ(std::bit_cast<std::uint64_t>(z[i]),
                               std::bit_cast<std::uint64_t>(ref[i]))
-                        << c.name << " " << prec.name() << " parallel "
+                        << name << " " << prec.name() << " parallel "
                         << parallel << " row " << i;
                 }
             }

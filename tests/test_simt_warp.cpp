@@ -254,7 +254,7 @@ TEST(Warp, ReduceAbsmaxHalves) {
     // Empty half yields {0, -1}.
     const auto e = w.reduce_absmax_halves(first_lanes(16), v);
     EXPECT_EQ(e[1].second, -1);
-    // 4-step butterfly serves both halves.
+    // 4-step XOR shuffle serves both halves.
     EXPECT_EQ(w.stats().shuffle_instructions, 8);
 }
 
